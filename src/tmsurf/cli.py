@@ -3,8 +3,9 @@
 All outputs are plain JSON/CSV written with canonical formatting (sorted
 keys, shortest round-trip floats, no timestamps), so a rerun with the same
 config and seed produces byte-identical files.  Every exponential-scale
-quantity is accompanied by its log.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure inside a stage (partial artifacts are kept).
+quantity is accompanied by its log.  Exit codes: 0 success, 2 unusable input
+(a ValueError, KeyError or OSError, raised anywhere), 3 any other failure
+inside a stage (`tm run` keeps its partial artifacts).
 """
 
 from __future__ import annotations
@@ -15,25 +16,30 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .constructions.bubble import BubbleProfile
-from .constructions.family import build_test_family, test_family_lower_bound
+from .constructions.family import EPS_MAX, build_test_family, test_family_lower_bound
 from .constructions.green import (
+    GreenDecomposition,
     extract_A,
     green_l2_norm_sq,
     green_solve,
     richardson_pair,
     upper_bound_value,
 )
-from .constructions.radial import RadialModel
-from .discretization import NormParams, assemble
+from .constructions.radial import radial_model, surface_model
+from .discretization import FemOperators, NormParams, assemble
 from .geometry import (
+    GroupAction,
+    SurfaceMesh,
     build_flat_torus_mesh,
     build_sphere_mesh,
+    check_group_action,
     group_action,
     orbit_stats,
     read_group_json,
@@ -42,15 +48,19 @@ from .geometry import (
     write_off,
 )
 from .maximizer import (
+    MaximizerState,
     ProblemSpec,
     blowup_diagnostics,
     multiplier_report,
     sharpness_probe,
     solve_subcritical,
 )
-from .spectrum import complement_projector, invariant_spectrum
+from .spectrum import InvariantSpectrum, complement_projector, invariant_spectrum
 
 SCHEMA_VERSION = 1
+
+# Unusable input; exit 2 from every front end, and `tm run` writes no results.
+INPUT_ERRORS = (OSError, KeyError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -61,7 +71,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 # ---------------------------------------------------------------------------
@@ -127,36 +136,7 @@ def _sweep(fn, items):
 
 
 # ---------------------------------------------------------------------------
-# mesh/group construction shared by the subcommands
-
-
-def _add_mesh_args(p: argparse.ArgumentParser, level_flag: str = "--level") -> None:
-    p.add_argument("--surface", choices=("sphere", "torus"), default="sphere")
-    p.add_argument(level_flag, dest="surface_level", type=int, default=4,
-                   help="sphere subdivision level")
-    p.add_argument("--nx", type=int, default=64)
-    p.add_argument("--ny", type=int, default=64)
-    p.add_argument("--periods", type=float, nargs=2, default=(1.0, 1.0), metavar=("A", "B"))
-    p.add_argument("--group", default="trivial", help="sphere: trivial|antipodal|cyclic(m)|dihedral(m); torus: trivial|shift(a,b)[+shift(c,d)]")
-    p.add_argument("--mesh", help="OFF file to load instead of building a surface")
-    p.add_argument("--perms", help="permutation JSON for --mesh (defaults to --group, or trivial)")
-
-
-def _build_mesh(args):
-    if args.mesh:
-        mesh = read_off(args.mesh)
-        if args.perms:
-            action = read_group_json(args.perms, mesh.n_vertices)
-        else:
-            action = group_action(mesh, args.group)
-        return mesh, action
-    if args.surface == "sphere":
-        return build_sphere_mesh(args.surface_level, args.group)
-    return build_flat_torus_mesh(args.nx, args.ny, tuple(args.periods), group_kind=args.group)
-
-
-def _auto_source(action: GroupAction) -> int:
-    return int(orbit_stats(action).min_vertices[0])
+# payloads
 
 
 def _spectrum_payload(spec) -> dict:
@@ -212,6 +192,10 @@ def _report_payload(rep) -> dict:
     }
 
 
+def _write_margins(path, reports) -> None:
+    _write_csv(path, _MARGIN_COLUMNS, [[r[h] for h in _MARGIN_COLUMNS] for r in reports])
+
+
 def _state_payload(state, with_vector: bool = True) -> dict:
     out = {
         "lambda_eps": state.lambda_eps,
@@ -231,11 +215,255 @@ def _state_payload(state, with_vector: bool = True) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: one implementation behind `tm run` and the subcommands
+
+
+@dataclass(eq=False)
+class Context:
+    """The config and what the stages have built from it so far."""
+
+    cfg: dict
+    results: dict = field(default_factory=dict)
+    out: Path | None = None  # `tm run` directory for per-stage files; None in subcommands
+    outputs: list = field(default_factory=list)
+    mesh: SurfaceMesh | None = None
+    action: GroupAction | None = None
+    ops: FemOperators | None = None
+    spec: InvariantSpectrum | None = None
+    dec: GreenDecomposition | None = None
+    state: MaximizerState | None = None
+
+    def export(self, name: str, write) -> None:
+        """Let ``write`` put the per-stage file ``name`` into the run directory."""
+        if self.out is not None:
+            write(self.out / name)
+            self.outputs.append(name)
+
+
+def _config_mesh(cfg: dict):
+    surface = cfg.get("surface", {})
+    kind = surface.get("kind", "sphere")
+    group = cfg.get("group", "trivial")
+    if kind == "sphere":
+        return build_sphere_mesh(int(surface.get("level", 4)), group)
+    if kind == "torus":
+        periods = tuple(surface.get("periods", (1.0, 1.0)))
+        return build_flat_torus_mesh(
+            int(surface.get("nx", 64)), int(surface.get("ny", 64)), periods, group_kind=group
+        )
+    if kind == "off":
+        mesh = read_off(surface["path"])
+        if "perms" not in surface:
+            return mesh, group_action(mesh, group)
+        action = read_group_json(surface["perms"], mesh.n_vertices)
+        check_group_action(mesh, action)
+        return mesh, action
+    raise ConfigError(f"unknown surface kind {kind!r}")
+
+
+def _resolve_alpha(cfg_alpha, spec) -> float:
+    if isinstance(cfg_alpha, dict):
+        level = int(cfg_alpha.get("level", 1))
+        return float(cfg_alpha["gap_fraction"]) * spec.group_value(level)
+    return float(cfg_alpha)
+
+
+def _stage_mesh(ctx: Context) -> None:
+    ctx.mesh, ctx.action = _config_mesh(ctx.cfg)
+    mesh, action = ctx.mesh, ctx.action
+    ctx.results["mesh"] = {
+        "surface": mesh.surface_kind,
+        "n_vertices": mesh.n_vertices,
+        "n_triangles": mesh.n_triangles,
+        "group": action.name,
+        "group_order": action.order,
+        "ell": action.min_orbit_size,
+        "total_area": mesh.total_area,
+    }
+    if "mesh" in ctx.cfg.get("pipeline", ()):  # not when built only for later stages
+        ctx.export("mesh.off", lambda path: write_off(mesh, path))
+        ctx.export("group.json", lambda path: write_group_json(action, path))
+
+
+def _stage_spectrum(ctx: Context) -> None:
+    ctx.ops = assemble(ctx.mesh)
+    count = int(ctx.cfg.get("eigen_count", 8))
+    ctx.spec = invariant_spectrum(ctx.ops, ctx.action, count, seed=int(ctx.cfg.get("rng_seed", 0)))
+    ctx.results["spectrum"] = _spectrum_payload(ctx.spec)
+
+
+def _stage_green(ctx: Context) -> None:
+    alpha = _resolve_alpha(ctx.cfg.get("alpha", 0.0), ctx.spec)
+    params = NormParams(alpha=alpha, lambda_gap=ctx.spec.lambda_1, beta=1.0)
+    source = ctx.cfg.get("green", {}).get("source", "auto")
+    if source == "auto":  # a vertex of a minimal orbit
+        source = orbit_stats(ctx.action).min_vertices[0]
+    ctx.dec = green_solve(ctx.ops, ctx.action, int(source), params)
+    extract_A(ctx.dec)
+    green_l2_norm_sq(ctx.dec)
+    bound = upper_bound_value(ctx.dec)
+    ctx.results["green"] = _green_payload(ctx.dec, with_values=False)
+    ctx.results["upper_bound"] = {"value": bound.value, "log_value": bound.log_value}
+
+
+def _stage_bounds(ctx: Context) -> None:
+    bcfg = ctx.cfg.get("bounds", {})
+    epsilons = [float(e) for e in bcfg.get("epsilons", (1e-3, 1e-4, 1e-5))]
+    n_quad = int(bcfg.get("n_quad", 400))
+    outside = [e for e in epsilons if not 0.0 < e < EPS_MAX]
+    if outside:
+        raise ConfigError(f"eps {outside} outside (0, {EPS_MAX})")
+
+    def one(eps):
+        fam = build_test_family(ctx.dec, eps, n_quad=n_quad)
+        return _report_payload(test_family_lower_bound(fam, n_quad=n_quad))
+
+    reports = ctx.results["bounds"] = _sweep(one, epsilons)
+    ctx.export("margins.csv", lambda path: _write_margins(path, reports))
+
+
+def _stage_maximize(ctx: Context) -> None:
+    mcfg = ctx.cfg.get("maximize", {})
+    ell = ctx.action.min_orbit_size
+    eps_sub = float(mcfg.get("epsilon_sub", np.pi * ell))
+    if not 0.0 < eps_sub < 4.0 * np.pi * ell:
+        raise ConfigError(f"epsilon_sub={eps_sub} outside (0, 4*pi*ell={4 * np.pi * ell:.6g})")
+    comp = complement_projector(ctx.spec, ctx.ops, ctx.action, int(mcfg.get("level", 1)))
+    alpha = _resolve_alpha(mcfg.get("alpha", ctx.cfg.get("alpha", 0.0)), ctx.spec)
+    problem = ProblemSpec(ctx.ops, ctx.action, comp, alpha, eps_sub)
+    seed = mcfg.get("seed", "moser")
+    if isinstance(seed, list):
+        seed = np.asarray(seed, dtype=float)
+    state = ctx.state = solve_subcritical(
+        problem,
+        seed,
+        max_iters=int(mcfg.get("max_iters", 400)),
+        tol=float(mcfg.get("tol", 1e-8)),
+        rng_seed=int(ctx.cfg.get("rng_seed", 0)),
+    )
+    rep = multiplier_report(state, ctx.ops)
+    ctx.results["maximize"] = _state_payload(state, with_vector=False)
+    ctx.results["maximize"]["multiplier_checks"] = {
+        "residual_u": rep.residual_u,
+        "residual_const": rep.residual_const,
+        "residual_gammas": rep.residual_gammas,
+        "mu_over_lambda": rep.mu_over_lambda,
+    }
+    ctx.export(
+        "state.json",
+        lambda path: _write_json(path, {"schema": SCHEMA_VERSION, "state": _state_payload(state)}),
+    )
+
+
+def _stage_diagnostics(ctx: Context) -> None:
+    dcfg = ctx.cfg.get("diagnostics", {})
+    diag = blowup_diagnostics(
+        ctx.state,
+        ctx.mesh,
+        ctx.action,
+        BubbleProfile(ctx.action.min_orbit_size),
+        dcfg.get("radii", (0.1, 0.2, 0.4)),
+        c_threshold=float(dcfg.get("c_threshold", 3.0)),
+    )
+    ctx.results["diagnostics"] = {
+        "r_eps": diag.r_eps,
+        "c_eps": diag.c_eps,
+        "orbit": diag.orbit,
+        "radii": diag.radii,
+        "local_energies": diag.local_energies,
+        "energy_budget": diag.energy_budget,
+        "energy_fractions": diag.energy_fractions,
+        "profile_error": diag.profile_error,
+        "profile_points": diag.profile_points,
+        "resolution_warning": diag.resolution_warning,
+    }
+
+
+def _stage_sharpness(ctx: Context) -> None:
+    scfg = ctx.cfg.get("sharpness", {})
+    if ctx.mesh is None:  # `tm sharpness` needs only the model surface, not a mesh
+        surface = ctx.cfg["surface"]
+        model = surface_model(surface["kind"], surface["periods"])
+    else:
+        model = radial_model(ctx.mesh)
+    ctx.results["sharpness"] = sharpness_probe(
+        model,
+        int(scfg["ell"]) if "ell" in scfg else ctx.action.min_orbit_size,
+        scfg.get("beta_grid", ()),
+        scfg.get("k_grid", ()),
+        r=float(scfg.get("r", 0.05)),
+        alpha=float(scfg.get("alpha", 0.0)),
+    )
+
+
+# Stage name -> (function, stages it needs), in execution order.
+STAGES = {
+    "mesh": (_stage_mesh, ()),
+    "spectrum": (_stage_spectrum, ("mesh",)),
+    "green": (_stage_green, ("spectrum",)),
+    "bounds": (_stage_bounds, ("green",)),
+    "maximize": (_stage_maximize, ("spectrum",)),
+    "diagnostics": (_stage_diagnostics, ("maximize",)),
+    "sharpness": (_stage_sharpness, ()),
+}
+
+
+def run_stages(ctx: Context, wanted) -> Context:
+    """Run the wanted stages and their prerequisites in table order.
+
+    Input errors propagate unchanged; other failures become a StageError.
+    """
+    needed = set(wanted)
+    for name, (_, needs) in reversed(STAGES.items()):
+        if name in needed:
+            needed.update(needs)
+    for name, (stage, _) in STAGES.items():
+        if name in needed:
+            try:
+                stage(ctx)
+            except INPUT_ERRORS:
+                raise
+            except Exception as exc:
+                raise StageError(name, exc) from exc
+    return ctx
+
+
+# ---------------------------------------------------------------------------
+# subcommands: argparse namespace -> the config `tm run` reads
+
+
+def _add_mesh_args(p: argparse.ArgumentParser, level_flag: str = "--level") -> None:
+    p.add_argument("--surface", choices=("sphere", "torus"), default="sphere")
+    p.add_argument(level_flag, dest="surface_level", type=int, default=4,
+                   help="sphere subdivision level")
+    p.add_argument("--nx", type=int, default=64)
+    p.add_argument("--ny", type=int, default=64)
+    p.add_argument("--periods", type=float, nargs=2, default=(1.0, 1.0), metavar=("A", "B"))
+    p.add_argument("--group", default="trivial", help="sphere: trivial|antipodal|cyclic(m)|dihedral(m); torus: trivial|shift(a,b)[+shift(c,d)]")
+    p.add_argument("--mesh", help="OFF file to load instead of building a surface")
+    p.add_argument("--perms", help="permutation JSON for --mesh (defaults to --group, or trivial)")
+
+
+def _mesh_config(args) -> dict:
+    if args.mesh:
+        surface = {"kind": "off", "path": args.mesh}
+        if args.perms:
+            surface["perms"] = args.perms
+    else:
+        surface = {"kind": args.surface, "level": args.surface_level, "nx": args.nx,
+                   "ny": args.ny, "periods": args.periods}
+    return {"surface": surface, "group": args.group}
+
+
+def _green_config(args) -> dict:
+    return _mesh_config(args) | {
+        "alpha": args.alpha, "eigen_count": args.eig_count, "green": {"source": args.orbit},
+    }
 
 
 def cmd_mesh(args) -> int:
-    mesh, action = _build_mesh(args)
+    ctx = run_stages(Context(_mesh_config(args)), ["mesh"])
+    mesh, action = ctx.mesh, ctx.action
     write_off(mesh, args.out)
     if args.perms_out:
         write_group_json(action, args.perms_out)
@@ -247,33 +475,20 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    mesh, action = _build_mesh(args)
-    ops = assemble(mesh)
-    spec = invariant_spectrum(ops, action, args.count, seed=args.rng_seed)
+    cfg = _mesh_config(args) | {"eigen_count": args.count, "rng_seed": args.rng_seed}
+    spec = run_stages(Context(cfg), ["spectrum"]).spec
     _write_json(args.out, {"schema": SCHEMA_VERSION, "spectrum": _spectrum_payload(spec)})
     print(f"lambda_1^G = {spec.lambda_1!r}, {len(spec.groups)} clusters -> {args.out}")
     return 0
 
 
-def _solve_green(mesh, action, alpha: float, source, eig_count: int):
-    ops = assemble(mesh)
-    spec = invariant_spectrum(ops, action, eig_count)
-    params = NormParams(alpha=alpha, lambda_gap=spec.lambda_1, beta=1.0)
-    src = _auto_source(action) if source in (None, "auto") else int(source)
-    dec = green_solve(ops, action, src, params)
-    extract_A(dec)
-    green_l2_norm_sq(dec)
-    return ops, spec, dec
-
-
 def cmd_green(args) -> int:
-    mesh, action = _build_mesh(args)
-    _, _, dec = _solve_green(mesh, action, args.alpha, args.orbit, args.eig_count)
-    bound = upper_bound_value(dec)
+    ctx = run_stages(Context(_green_config(args)), ["green"])
+    dec = ctx.dec
     payload = {
         "schema": SCHEMA_VERSION,
         "green": _green_payload(dec),
-        "upper_bound": {"value": bound.value, "log_value": bound.log_value},
+        "upper_bound": ctx.results["upper_bound"],
     }
     _write_json(args.out, payload)
     print(f"A = {dec.a_const!r} (fit rms {dec.a_fit_residual:.2e}), residual {dec.residual:.2e} -> {args.out}")
@@ -281,51 +496,37 @@ def cmd_green(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    mesh, action = _build_mesh(args)
-    _, _, dec = _solve_green(mesh, action, args.alpha, args.orbit, args.eig_count)
-
-    def one(eps: float):
-        fam = build_test_family(dec, eps, n_quad=args.n_quad)
-        return _report_payload(test_family_lower_bound(fam, n_quad=args.n_quad))
-
-    reports = _sweep(one, args.eps)
-    bound = upper_bound_value(dec)
+    cfg = _green_config(args) | {"bounds": {"epsilons": args.eps, "n_quad": args.n_quad}}
+    results = run_stages(Context(cfg), ["bounds"]).results
+    reports = results["bounds"]
     payload = {
         "schema": SCHEMA_VERSION,
-        "green": _green_payload(dec, with_values=False),
-        "upper_bound": {"value": bound.value, "log_value": bound.log_value},
+        "green": results["green"],
+        "upper_bound": results["upper_bound"],
         "sweep": reports,
     }
     _write_json(args.out, payload)
     csv_path = args.csv or Path(args.out).with_suffix(".csv")
-    _write_csv(csv_path, _MARGIN_COLUMNS, [[r[h] for h in _MARGIN_COLUMNS] for r in reports])
+    _write_margins(csv_path, reports)
     worst = min(r["margin"] for r in reports)
     print(f"{len(reports)} eps values, min margin {worst!r} -> {args.out}, {csv_path}")
     return 0
 
 
 def cmd_maximize(args) -> int:
-    mesh, action = _build_mesh(args)
-    ops = assemble(mesh)
-    spec = invariant_spectrum(ops, action, args.eig_count, seed=args.rng_seed)
-    comp = complement_projector(spec, ops, action, args.level)
-    problem = ProblemSpec(ops, action, comp, args.alpha, args.eps)
     seed = args.seed
     if seed not in ("moser", "symmetric", "random"):
         with open(seed) as fh:
-            seed = np.asarray(json.load(fh)["u"], dtype=float)
-    state = solve_subcritical(problem, seed, max_iters=args.max_iters, tol=args.tol, rng_seed=args.rng_seed)
-    rep = multiplier_report(state, ops)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "state": _state_payload(state),
-        "multiplier_checks": {
-            "residual_u": rep.residual_u,
-            "residual_const": rep.residual_const,
-            "residual_gammas": rep.residual_gammas,
-            "mu_over_lambda": rep.mu_over_lambda,
-        },
+            seed = json.load(fh)["u"]
+    cfg = _mesh_config(args) | {
+        "eigen_count": args.eig_count,
+        "rng_seed": args.rng_seed,
+        "maximize": {"level": args.level, "alpha": args.alpha, "epsilon_sub": args.eps,
+                     "seed": seed, "max_iters": args.max_iters, "tol": args.tol},
     }
+    ctx = run_stages(Context(cfg), ["maximize"])
+    state, checks = ctx.state, ctx.results["maximize"]["multiplier_checks"]
+    payload = {"schema": SCHEMA_VERSION, "state": _state_payload(state), "multiplier_checks": checks}
     _write_json(args.out, payload)
     print(
         f"value = {state.value!r} (log {state.log_value!r}), c_eps = {state.c_eps!r}, "
@@ -334,16 +535,13 @@ def cmd_maximize(args) -> int:
     return 0 if state.converged else 3
 
 
-def _model_from_args(args) -> RadialModel:
-    if args.surface == "sphere":
-        return RadialModel("sphere", np.pi, 4.0 * np.pi)
-    a, b = args.periods
-    return RadialModel("torus", min(a, b) / 2.0, a * b)
-
-
 def cmd_sharpness(args) -> int:
-    model = _model_from_args(args)
-    rows = sharpness_probe(model, args.ell, args.beta_grid, args.k_grid, r=args.r, alpha=args.alpha)
+    cfg = {
+        "surface": {"kind": args.surface, "periods": args.periods},
+        "sharpness": {"ell": args.ell, "beta_grid": args.beta_grid, "k_grid": args.k_grid,
+                      "r": args.r, "alpha": args.alpha},
+    }
+    rows = run_stages(Context(cfg), ["sharpness"]).results["sharpness"]
     csv_rows = []
     for row in rows:
         for k, lv in zip(row["k"], row["log_values"]):
@@ -367,11 +565,7 @@ def cmd_sharpness(args) -> int:
 # pipeline runner
 
 
-def _load_config(path) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+def _parse_config(text: str) -> dict:
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -383,194 +577,35 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _config_mesh(cfg: dict):
-    surface = cfg.get("surface", {})
-    kind = surface.get("kind", "sphere")
-    group = cfg.get("group", "trivial")
-    if kind == "sphere":
-        return build_sphere_mesh(int(surface.get("level", 4)), group)
-    if kind == "torus":
-        periods = tuple(surface.get("periods", (1.0, 1.0)))
-        return build_flat_torus_mesh(
-            int(surface.get("nx", 64)), int(surface.get("ny", 64)), periods, group_kind=group
-        )
-    if kind == "off":
-        for key in ("path",) + (("perms",) if "perms" in surface else ()):
-            if not Path(surface[key]).exists():
-                raise ConfigError(f"referenced file does not exist: {surface[key]}")
-        mesh = read_off(surface["path"])
-        if "perms" in surface:
-            return mesh, read_group_json(surface["perms"], mesh.n_vertices)
-        return mesh, group_action(mesh, group)
-    raise ConfigError(f"unknown surface kind {kind!r}")
-
-
-def _resolve_alpha(cfg_alpha, spec) -> float:
-    if isinstance(cfg_alpha, dict):
-        level = int(cfg_alpha.get("level", 1))
-        return float(cfg_alpha["gap_fraction"]) * spec.group_value(level)
-    return float(cfg_alpha)
-
-
 def run_experiment(config_path, out_dir=None) -> int:
     """Execute the pipeline named in the config; see the README for the schema."""
-    cfg = _load_config(config_path)
     config_text = Path(config_path).read_text()
+    cfg = _parse_config(config_text)
     out = Path(out_dir or cfg.get("out_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(config_text)
     pipeline = cfg.get("pipeline", [])
-    known = {"mesh", "spectrum", "green", "bounds", "maximize", "diagnostics", "sharpness"}
-    unknown = [s for s in pipeline if s not in known]
+    unknown = [s for s in pipeline if s not in STAGES]
     if unknown:
-        raise ConfigError(f"unknown pipeline stages {unknown}; valid: {sorted(known)}")
-
-    results: dict = {"schema": SCHEMA_VERSION, "config_sha256": _sha256_text(config_text)}
-    outputs = ["config.json"]
-    mesh = action = ops = spec = dec = state = None
-    rng_seed = int(cfg.get("rng_seed", 0))
-    eig_count = int(cfg.get("eigen_count", 8))
+        raise ConfigError(f"unknown pipeline stages {unknown}; valid: {sorted(STAGES)}")
     if not pipeline:
-        _write_manifest(out, config_text, None, outputs)
+        _write_manifest(out, config_text, None, ["config.json"])
         print(f"empty pipeline: manifest only -> {out}")
         return 0
-    stage = "setup"
+
+    results = {"schema": SCHEMA_VERSION, "config_sha256": _sha256_text(config_text)}
+    ctx = Context(cfg, results, out, ["config.json"])
     try:
-        if pipeline:
-            stage = "mesh"
-            mesh, action = _config_mesh(cfg)
-            results["mesh"] = {
-                "surface": mesh.surface_kind,
-                "n_vertices": mesh.n_vertices,
-                "n_triangles": mesh.n_triangles,
-                "group": action.name,
-                "group_order": action.order,
-                "ell": action.min_orbit_size,
-                "total_area": mesh.total_area,
-            }
-            if "mesh" in pipeline:
-                write_off(mesh, out / "mesh.off")
-                write_group_json(action, out / "group.json")
-                outputs += ["mesh.off", "group.json"]
-
-        if pipeline and {"spectrum", "green", "bounds", "maximize", "diagnostics"} & set(pipeline):
-            stage = "spectrum"
-            ops = assemble(mesh)
-            spec = invariant_spectrum(ops, action, eig_count, seed=rng_seed)
-            results["spectrum"] = _spectrum_payload(spec)
-
-        if {"green", "bounds"} & set(pipeline):
-            stage = "green"
-            gcfg = cfg.get("green", {})
-            alpha = _resolve_alpha(cfg.get("alpha", 0.0), spec)
-            params = NormParams(alpha=alpha, lambda_gap=spec.lambda_1, beta=1.0)
-            source = gcfg.get("source", "auto")
-            src = _auto_source(action) if source == "auto" else int(source)
-            dec = green_solve(ops, action, src, params)
-            extract_A(dec)
-            green_l2_norm_sq(dec)
-            bound = upper_bound_value(dec)
-            results["green"] = _green_payload(dec, with_values=False)
-            results["upper_bound"] = {"value": bound.value, "log_value": bound.log_value}
-
-        if "bounds" in pipeline:
-            stage = "bounds"
-            bcfg = cfg.get("bounds", {})
-            epsilons = [float(e) for e in bcfg.get("epsilons", (1e-3, 1e-4, 1e-5))]
-            n_quad = int(bcfg.get("n_quad", 400))
-
-            def one(eps):
-                fam = build_test_family(dec, eps, n_quad=n_quad)
-                return _report_payload(test_family_lower_bound(fam, n_quad=n_quad))
-
-            reports = _sweep(one, epsilons)
-            results["bounds"] = reports
-            header = ["eps", "margin", "value", "log_value", "bound", "bound_log", "tether", "margin_log_eps", "b_const", "c_sq"]
-            _write_csv(out / "margins.csv", header, [[r[h] for h in header] for r in reports])
-            outputs.append("margins.csv")
-
-        if {"maximize", "diagnostics"} & set(pipeline):
-            stage = "maximize"
-            mcfg = cfg.get("maximize", {})
-            level = int(mcfg.get("level", 1))
-            comp = complement_projector(spec, ops, action, level)
-            alpha = _resolve_alpha(mcfg.get("alpha", cfg.get("alpha", 0.0)), spec)
-            eps_sub = mcfg.get("epsilon_sub", np.pi * action.min_orbit_size)
-            problem = ProblemSpec(ops, action, comp, alpha, float(eps_sub))
-            seed = mcfg.get("seed", "moser")
-            if isinstance(seed, list):
-                seed = np.asarray(seed, dtype=float)
-            state = solve_subcritical(
-                problem,
-                seed,
-                max_iters=int(mcfg.get("max_iters", 400)),
-                tol=float(mcfg.get("tol", 1e-8)),
-                rng_seed=rng_seed,
-            )
-            rep = multiplier_report(state, ops)
-            results["maximize"] = _state_payload(state, with_vector=False)
-            results["maximize"]["multiplier_checks"] = {
-                "residual_u": rep.residual_u,
-                "residual_const": rep.residual_const,
-                "residual_gammas": rep.residual_gammas,
-                "mu_over_lambda": rep.mu_over_lambda,
-            }
-            _write_json(out / "state.json", {"schema": SCHEMA_VERSION, "state": _state_payload(state)})
-            outputs.append("state.json")
-
-        if "diagnostics" in pipeline:
-            stage = "diagnostics"
-            dcfg = cfg.get("diagnostics", {})
-            diag = blowup_diagnostics(
-                state,
-                mesh,
-                action,
-                BubbleProfile(action.min_orbit_size),
-                dcfg.get("radii", (0.1, 0.2, 0.4)),
-                c_threshold=float(dcfg.get("c_threshold", 3.0)),
-            )
-            results["diagnostics"] = {
-                "r_eps": diag.r_eps,
-                "c_eps": diag.c_eps,
-                "orbit": diag.orbit,
-                "radii": diag.radii,
-                "local_energies": diag.local_energies,
-                "energy_budget": diag.energy_budget,
-                "energy_fractions": diag.energy_fractions,
-                "profile_error": diag.profile_error,
-                "profile_points": diag.profile_points,
-                "resolution_warning": diag.resolution_warning,
-            }
-
-        if "sharpness" in pipeline:
-            stage = "sharpness"
-            scfg = cfg.get("sharpness", {})
-            surface = cfg.get("surface", {})
-            if surface.get("kind", "sphere") == "sphere":
-                model = RadialModel("sphere", np.pi, 4.0 * np.pi)
-            else:
-                a, b = surface.get("periods", (1.0, 1.0))
-                model = RadialModel("torus", min(a, b) / 2.0, a * b)
-            results["sharpness"] = sharpness_probe(
-                model,
-                int(scfg.get("ell", action.min_orbit_size if action is not None else 1)),
-                scfg.get("beta_grid", ()),
-                scfg.get("k_grid", ()),
-                r=float(scfg.get("r", 0.05)),
-                alpha=float(scfg.get("alpha", 0.0)),
-            )
-    except (ConfigError, json.JSONDecodeError):
-        raise
-    except Exception as exc:
-        results["failed_stage"] = stage
+        run_stages(ctx, ["mesh", *pipeline])  # every run records its mesh
+    except StageError as exc:
+        results["failed_stage"] = exc.stage
         _write_json(out / "results.json", results)
-        _write_manifest(out, config_text, mesh, outputs + ["results.json"])
-        raise StageError(stage, exc) from exc
-
+        _write_manifest(out, config_text, ctx.mesh, ctx.outputs + ["results.json"])
+        raise
     _write_json(out / "results.json", results)
-    outputs.append("results.json")
-    _write_manifest(out, config_text, mesh, outputs)
-    print(f"pipeline {pipeline or '(empty)'} complete -> {out}")
+    ctx.outputs.append("results.json")
+    _write_manifest(out, config_text, ctx.mesh, ctx.outputs)
+    print(f"pipeline {pipeline} complete -> {out}")
     return 0
 
 
@@ -745,14 +780,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, OSError, KeyError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except RuntimeError as exc:  # a StageError, or a numerical failure outside the stages
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -18,16 +18,14 @@ volume makes the leading discretization errors cancel in the margin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .._sums import sorted_sum
-from ..geometry import GroupAction
-from .green import GreenDecomposition, GreenError, UpperBound, extract_A, green_l2_norm_sq, upper_bound_value
+from .green import GreenDecomposition, UpperBound, extract_A, green_l2_norm_sq, upper_bound_value
 from .moser import min_orbit_separation
-from .radial import RadialModel, log_integral_exp, radial_integral
+from .radial import log_integral_exp, radial_integral
 
 __all__ = [
     "FamilyError",
@@ -35,8 +33,10 @@ __all__ = [
     "build_test_family",
     "LowerBoundReport",
     "test_family_lower_bound",
+    "EPS_MAX",
 ]
 
+EPS_MAX = 0.2  # family parameters eps lie in (0, EPS_MAX)
 _NORM_TOL = 1e-6
 _SEAM_TOL = 1e-8
 _SECANT_TOL = 1e-12
@@ -64,7 +64,6 @@ class TestFunctionFamily:
     seam_gap: float
     values: np.ndarray  # vertex samples of phi = eta - mbar
     dec: GreenDecomposition = field(repr=False)
-    pieces: dict = field(repr=False, default_factory=dict)
 
     @property
     def c(self) -> float:
@@ -100,10 +99,10 @@ def build_test_family(
         extract_A(dec)
     if dec.l2_sq is None:
         green_l2_norm_sq(dec)
-    if not 0.0 < eps < 0.2:
-        raise FamilyError(f"eps={eps} outside (0, 0.2); the profile needs R = -log eps > 1")
-    ell, alpha, a_const, l2 = dec.ell, dec.alpha, dec.a_const, dec.l2_sq
-    mesh, ops, model = dec.ops.mesh, dec.ops, dec.model
+    if not 0.0 < eps < EPS_MAX:
+        raise FamilyError(f"eps={eps} outside (0, {EPS_MAX}); the profile needs R = -log eps > 1")
+    ell, alpha, a_const = dec.ell, dec.alpha, dec.a_const
+    mesh, model = dec.ops.mesh, dec.model
     vol = mesh.total_area
     R = -np.log(eps)
     r_eps = R * eps
@@ -195,15 +194,6 @@ def build_test_family(
     if seam_gap > _SEAM_TOL * max(1.0, c):
         raise FamilyError(f"seam mismatch {seam_gap:.3e} at r_eps={r_eps:.4g}")
 
-    pieces = {
-        "t0": float(t0),
-        "j_q": float(j_q),
-        "boundary": float(boundary),
-        "i_g": float(i_g),
-        "area_in": float(area_in),
-        "l2_sq": float(l2),
-        "n_quad": n_quad,
-    }
     return TestFunctionFamily(
         eps=float(eps),
         R=float(R),
@@ -215,7 +205,6 @@ def build_test_family(
         seam_gap=float(seam_gap),
         values=phi,
         dec=dec,
-        pieces=pieces,
     )
 
 

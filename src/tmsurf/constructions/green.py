@@ -90,9 +90,6 @@ class GreenDecomposition:
     a_const: float | None = None
     a_fit_residual: float | None = None
     a_annulus: tuple[float, float] | None = None
-    psi_indices: np.ndarray | None = field(default=None, repr=False)
-    psi_values: np.ndarray | None = field(default=None, repr=False)
-    psi_coeffs: tuple[float, float, float, float] | None = None  # rho^2, rho^2 log, rho^4, rho^4 log
     l2_sq: float | None = None
 
     @property
@@ -104,26 +101,6 @@ class GreenDecomposition:
         if self.a_const is None:
             raise GreenError("regular constant not extracted yet")
         return -np.log(rho) / (2.0 * np.pi * self.ell) + self.a_const
-
-    def psi_model(self, rho):
-        """Fitted even-parametrix expansion of psi~ near the source."""
-        if self.psi_coeffs is None:
-            raise GreenError("regular constant not extracted yet")
-        c2, c2l, c4, c4l = self.psi_coeffs
-        rho = np.asarray(rho, dtype=float)
-        r2 = rho * rho
-        log_r = np.log(np.where(rho > 0, rho, 1.0))
-        return r2 * (c2 + c2l * log_r) + r2 * r2 * (c4 + c4l * log_r)
-
-    def psi_model_deriv(self, rho):
-        if self.psi_coeffs is None:
-            raise GreenError("regular constant not extracted yet")
-        c2, c2l, c4, c4l = self.psi_coeffs
-        rho = np.asarray(rho, dtype=float)
-        log_r = np.log(np.where(rho > 0, rho, 1.0))
-        return rho * (2.0 * c2 + c2l * (2.0 * log_r + 1.0)) + rho**3 * (
-            4.0 * c4 + c4l * (4.0 * log_r + 1.0)
-        )
 
 
 def green_solve(
@@ -209,15 +186,6 @@ def extract_A(dec: GreenDecomposition, annulus: tuple[float, float] = (5.0, 20.0
     dec.a_const = float(coef[0])
     dec.a_fit_residual = float(np.sqrt(np.mean((y - fit) ** 2)))
     dec.a_annulus = (lo, hi)
-    dec.psi_indices = sel
-    dec.psi_values = y - dec.a_const  # psi~ samples: remainder after the constant
-    hi2 = hi * hi
-    dec.psi_coeffs = (
-        float(coef[-4] / hi2),
-        float(coef[-3] / hi2),
-        float(coef[-2] / hi2**2),
-        float(coef[-1] / hi2**2),
-    )
     return dec.a_const
 
 

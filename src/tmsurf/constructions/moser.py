@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._sums import sorted_sum
 from ..discretization import FemOperators, NormParams, norm_one_alpha, project_invariant_meanzero
 from ..geometry import GroupAction, MeshError, SurfaceMesh, geodesic_distance, max_radius
 from .radial import RadialModel, log_integral_exp, radial_integral

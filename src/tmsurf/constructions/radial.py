@@ -15,9 +15,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from ..geometry import SurfaceMesh, UnsupportedOperation, max_radius
+from ..geometry import SurfaceMesh, UnsupportedOperation
 
-__all__ = ["RadialModel", "radial_model", "radial_integral", "log_integral_exp"]
+__all__ = ["RadialModel", "radial_model", "surface_model", "radial_integral", "log_integral_exp"]
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,18 @@ class RadialModel:
         return float(np.sqrt(area / np.pi))
 
 
-def radial_model(mesh: SurfaceMesh) -> RadialModel:
-    if mesh.surface_kind == "sphere":
+def surface_model(kind: str, periods=(1.0, 1.0)) -> RadialModel:
+    """Model of the unit sphere, or of the flat torus with the given periods."""
+    if kind == "sphere":
         return RadialModel("sphere", np.pi, 4.0 * np.pi)
-    if mesh.surface_kind == "torus":
-        a, b = mesh.periods
-        return RadialModel("torus", max_radius(mesh), a * b)
-    raise UnsupportedOperation(
-        f"no closed-form radial metric for surface kind {mesh.surface_kind!r}"
-    )
+    if kind == "torus":
+        a, b = periods
+        return RadialModel("torus", 0.5 * min(a, b), a * b)
+    raise UnsupportedOperation(f"no closed-form radial metric for surface kind {kind!r}")
+
+
+def radial_model(mesh: SurfaceMesh) -> RadialModel:
+    return surface_model(mesh.surface_kind, mesh.periods)
 
 
 @lru_cache(maxsize=8)

@@ -30,7 +30,6 @@ __all__ = [
     "quadratic_form_sq",
     "norm_one_alpha",
     "exp_functional",
-    "export_matrix_coo",
 ]
 
 
@@ -197,13 +196,3 @@ def exp_functional(u: np.ndarray, beta: float, ops: FemOperators) -> ExpFunction
     log_value = shift + np.log(sorted_sum(ops.lumped * np.exp(t - shift)))
     value = float(np.exp(log_value)) if log_value < 709.0 else float("inf")
     return ExpFunctional(value=value, log_value=float(log_value))
-
-
-def export_matrix_coo(matrix, path) -> None:
-    """Write a sparse matrix as 'row col value' text for external inspection."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v!r}\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "read_off",
     "write_group_json",
     "read_group_json",
+    "check_group_action",
 ]
 
 
@@ -122,16 +123,10 @@ class OrbitStats:
 
 @dataclass(eq=False)
 class GeodesicField:
-    """Geodesic distances from a source vertex, with initial directions.
-
-    ``directions`` are unit initial velocities at the source (ambient
-    coordinates on the sphere, wrapped plane coordinates on the torus),
-    zero rows where the direction is not defined (source, cut locus ties).
-    """
+    """Geodesic distances from a source vertex."""
 
     source: int
     distances: np.ndarray
-    directions: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +361,31 @@ def _orbits_from_perms(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return orbit_index.astype(np.int64), np.bincount(orbit_index).astype(np.int64)
 
 
+def _sorted_triangles(tris: np.ndarray) -> np.ndarray:
+    rows = np.sort(tris, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _check_triangle_equivariance(tris: np.ndarray, perms: np.ndarray, name: str) -> None:
-    canon = np.unique(np.sort(tris, axis=1), axis=0)
+    canon = _sorted_triangles(tris)
     for p in perms:
-        mapped = np.unique(np.sort(p[tris], axis=1), axis=0)
-        if not np.array_equal(canon, mapped):
+        if not np.array_equal(canon, _sorted_triangles(p[tris])):
             raise GroupError(f"group {name!r} does not preserve the triangle set")
+
+
+def check_group_action(mesh: SurfaceMesh, action: GroupAction) -> None:
+    """Require distinct rows with the identity, closed under composition and
+    preserving the triangle set; otherwise orbits and order are wrong."""
+    perms = action.permutations
+    rows = {p.tobytes() for p in perms}
+    if len(rows) != len(perms):
+        raise GroupError(f"group {action.name!r} repeats a permutation")
+    if np.arange(perms.shape[1], dtype=perms.dtype).tobytes() not in rows:
+        raise GroupError(f"group {action.name!r} has no identity permutation")
+    for p in perms:
+        if any(p[q].tobytes() not in rows for q in perms):
+            raise GroupError(f"group {action.name!r} is not closed under composition")
+    _check_triangle_equivariance(mesh.triangles, perms, action.name)
 
 
 def _sphere_action(mesh: SurfaceMesh, group_kind: str) -> GroupAction:
@@ -536,12 +550,7 @@ def geodesic_distance(mesh: SurfaceMesh, source: int) -> GeodesicField:
     if mesh.surface_kind == "sphere":
         cosang = np.clip(sorted_dot(mesh.vertices, mesh.vertices[source]), -1.0, 1.0)
         dist = np.arccos(cosang)
-        tangential = mesh.vertices - cosang[:, None] * mesh.vertices[source]
-        sinang = np.sqrt(np.clip(1.0 - cosang**2, 0.0, None))
-        ok = sinang > 1e-12
-        directions = np.zeros_like(mesh.vertices)
-        directions[ok] = tangential[ok] / sinang[ok, None]
-        return GeodesicField(source, dist, directions)
+        return GeodesicField(source, dist)
     if mesh.surface_kind == "torus":
         nx, ny = mesh.grid_shape
         a, b = mesh.periods
@@ -554,10 +563,7 @@ def geodesic_distance(mesh: SurfaceMesh, source: int) -> GeodesicField:
         dy = dj * (b / ny)
         sq = np.sort(np.stack([dx * dx, dy * dy], axis=1), axis=1)
         dist = np.sqrt(sq[:, 0] + sq[:, 1])
-        directions = np.zeros((mesh.n_vertices, 2))
-        ok = dist > 0
-        directions[ok] = np.stack([dx[ok], dy[ok]], axis=1) / dist[ok, None]
-        return GeodesicField(source, dist, directions)
+        return GeodesicField(source, dist)
     raise UnsupportedOperation(f"geodesic distances undefined for surface kind {mesh.surface_kind!r}")
 
 
@@ -606,25 +612,29 @@ def read_off(path) -> SurfaceMesh:
         for line in fh:
             line, _, comment = line.partition("#")
             words = comment.split()
-            if words[:2] == ["torus", "periods"]:
-                surface = ("torus", float(words[2]), float(words[3]))
-            elif words[:1] == ["sphere"]:
-                surface = ("sphere", int(words[2]) if len(words) > 2 else None)
+            try:
+                if words[:2] == ["torus", "periods"]:
+                    surface = ("torus", float(words[2]), float(words[3]))
+                elif words[:1] == ["sphere"]:
+                    surface = ("sphere", int(words[2]) if len(words) > 2 else None)
+            except (IndexError, ValueError):
+                raise MeshError(f"malformed surface comment '#{comment.rstrip()}'") from None
             tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise MeshError("not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    verts = np.array([float(t) for t in tokens[pos : pos + 3 * nv]]).reshape(nv, 3)
-    pos += 3 * nv
-    tris = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise MeshError("only triangle faces are supported")
-        tris.append([int(t) for t in tokens[pos + 1 : pos + 4]])
-        pos += 4
-    tris = np.array(tris, dtype=np.int64)
+    try:
+        nv, nf, _ = (int(t) for t in tokens[1:4])
+        if nv < 1 or nf < 1:
+            raise ValueError(f"header counts {nv} vertices and {nf} faces")
+        verts = np.array([float(t) for t in tokens[4 : 4 + 3 * nv]]).reshape(nv, 3)
+        faces = np.array([int(t) for t in tokens[4 + 3 * nv :]], dtype=np.int64).reshape(nf, 4)
+    except ValueError as exc:
+        raise MeshError(f"malformed OFF file (triangle faces only): {exc}") from None
+    if not np.all(np.isfinite(verts)):
+        raise MeshError("OFF vertex coordinates must be finite")
+    if np.any(faces[:, 0] != 3):
+        raise MeshError("only triangle faces are supported")
+    tris = np.ascontiguousarray(faces[:, 1:])
     if surface[0] == "torus":
         return _reimport_torus(verts, tris, (surface[1], surface[2]))
     if surface[0] == "sphere":
@@ -669,7 +679,10 @@ def write_group_json(action: GroupAction, path) -> None:
 def read_group_json(path, n_vertices: int | None = None) -> GroupAction:
     with open(path) as fh:
         payload = json.load(fh)
-    perms = np.asarray(payload["permutations"], dtype=np.int64)
+    try:
+        perms = np.asarray(payload["permutations"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError):
+        raise GroupError("permutation payload must be a list of index arrays") from None
     if perms.ndim != 2:
         raise GroupError("permutation payload must be a list of index arrays")
     if n_vertices is not None and perms.shape[1] != n_vertices:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .discretization import FemOperators, OrbitReduction, orbit_reduction
+from .discretization import FemOperators, orbit_reduction
 from .geometry import GroupAction
 
 __all__ = [

@@ -147,11 +147,50 @@ def test_config_errors_exit_2(tmp_path):
     )
     assert cli.main(["run", str(missing), "--out-dir", str(tmp_path / "m")]) == 2
 
+    # input errors inside a stage exit 2 and leave no partial results.json
+    truncated = tmp_path / "truncated.off"
+    truncated.write_text("OFF\n3\n")
+    sphere3 = ["--surface", "sphere", "--level", "3", "--group", "antipodal", "--alpha", "1.5"]
+    cases = {
+        "group": _run_config(tmp_path, "group.json", group="cyclic(5)"),
+        "off": _run_config(tmp_path, "off.json", surface={"kind": "off", "path": str(truncated)}),
+        "eps": _run_config(tmp_path, "eps.json", alpha=1.5, bounds={"epsilons": [0.5]}),
+        "eps_sub": _run_config(tmp_path, "eps_sub.json", alpha=1.5, pipeline=["maximize"],
+                               maximize={"epsilon_sub": float("nan")}),
+    }
+    for name, cfg in cases.items():
+        assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / name)]) == 2, name
+        assert not (tmp_path / name / "results.json").exists(), name
+    out = str(tmp_path / "x.json")
+    assert cli.main(["spectrum", "--mesh", str(truncated), "--out", out]) == 2
+    assert cli.main(["bounds", *sphere3, "--eps", "0.5", "--out", out]) == 2
+    assert cli.main(["maximize", "--surface-level", "3", "--group", "antipodal",
+                     "--alpha", "1.5", "--eps", "nan", "--out", out]) == 2
+
+
+_TETRAHEDRON = "OFF\n4 4 0\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
+
 
 def test_bad_group_exits_2(tmp_path):
     argv = ["mesh", "--surface", "sphere", "--level", "2", "--group", "cyclic(5)",
             "--out", str(tmp_path / "m.off")]
     assert cli.main(argv) == 2
+
+    # imported permutations must form a group of mesh symmetries
+    tet, perms = tmp_path / "tet.off", tmp_path / "perms.json"
+    tet.write_text(_TETRAHEDRON)
+    perms.write_text(json.dumps({"permutations": [[1, 2, 0, 3]]}))  # no identity row
+    assert cli.main(["mesh", "--mesh", str(tet), "--perms", str(perms),
+                     "--out", str(tmp_path / "t.off")]) == 2
+
+    sphere, export = tmp_path / "s.off", tmp_path / "s.json"
+    assert cli.main(["mesh", "--level", "2", "--out", str(sphere), "--perms-out", str(export)]) == 0
+    swap = list(range(json.loads(export.read_text())["n_vertices"]))
+    swap[0], swap[1] = 1, 0  # a closed group, but not a symmetry of the triangles
+    for rows in ([sorted(swap), swap], [sorted(swap), sorted(swap)]):  # or a repeated row
+        perms.write_text(json.dumps({"permutations": rows}))
+        assert cli.main(["mesh", "--mesh", str(sphere), "--perms", str(perms),
+                         "--out", str(tmp_path / "s2.off")]) == 2
 
 
 def test_stage_failure_exits_3_with_partial_results(tmp_path, capsys):
@@ -247,6 +286,49 @@ def test_threaded_sweep_matches_serial(pipeline_runs, tmp_path, monkeypatch):
     assert cli.main(["run", str(base / "run.json"), "--out-dir", str(out3)]) == 0
     assert (out3 / "results.json").read_bytes() == (out1 / "results.json").read_bytes()
     assert (out3 / "margins.csv").read_bytes() == (out1 / "margins.csv").read_bytes()
+
+
+def test_sharpness_model_follows_imported_mesh(tmp_path):
+    sharp = {"ell": 2, "beta_grid": [22.6], "k_grid": [100, 1000]}
+    built = _run_config(tmp_path, "built.json", surface={"kind": "sphere", "level": 2},
+                        pipeline=["mesh", "sharpness"], sharpness=sharp)
+    assert cli.main(["run", str(built), "--out-dir", str(tmp_path / "built")]) == 0
+    surface = {"kind": "off", "path": str(tmp_path / "built" / "mesh.off"),
+               "perms": str(tmp_path / "built" / "group.json")}
+    imported = _run_config(tmp_path, "imported.json", surface=surface,
+                           pipeline=["sharpness"], sharpness=sharp)
+    assert cli.main(["run", str(imported), "--out-dir", str(tmp_path / "imported")]) == 0
+    rows = [json.loads((tmp_path / d / "results.json").read_text())["sharpness"]
+            for d in ("built", "imported")]
+    assert rows[0] == rows[1]
+
+
+@pytest.fixture(scope="module")
+def parity_runs(tmp_path_factory):
+    """`tm bounds`, `tm maximize` and `tm run` on the same sphere and parameters."""
+    tmp_path = tmp_path_factory.mktemp("parity")
+    sphere = ["--surface", "sphere", "--group", "antipodal", "--alpha", "1.5"]
+    bounds, state = tmp_path / "bounds.json", tmp_path / "state.json"
+    assert cli.main(["bounds", *sphere, "--level", "3", "--eps", "1e-3", "1e-4",
+                     "--out", str(bounds)]) == 0
+    assert cli.main(["maximize", *sphere, "--surface-level", "3", "--eig-count", "8",
+                     "--eps", str(2 * np.pi), "--out", str(state)]) == 0
+    cfg = _run_config(tmp_path, alpha=1.5, pipeline=["bounds", "maximize"],
+                      maximize={"epsilon_sub": 2 * np.pi})
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+    docs = [json.loads(p.read_text()) for p in
+            (bounds, state, tmp_path / "run" / "results.json", tmp_path / "run" / "state.json")]
+    return docs
+
+
+def test_subcommands_match_run(parity_runs):
+    bounds, state, results, run_state = parity_runs
+    assert bounds["green"] == results["green"]
+    assert bounds["upper_bound"] == results["upper_bound"]
+    assert bounds["sweep"] == results["bounds"]
+    without_u = {k: v for k, v in state["state"].items() if k != "u"}
+    assert results["maximize"] == without_u | {"multiplier_checks": state["multiplier_checks"]}
+    assert run_state["state"]["u"] == state["state"]["u"]
 
 
 def test_compare_rejects_non_run_directory(tmp_path):
