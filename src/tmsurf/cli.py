@@ -517,7 +517,12 @@ def cmd_maximize(args) -> int:
     seed = args.seed
     if seed not in ("moser", "symmetric", "random"):
         with open(seed) as fh:
-            seed = json.load(fh)["u"]
+            payload = json.load(fh)
+        # a previous state.json keeps the vector under "state"; a bare {"u": ...} works too
+        state = payload.get("state", payload) if isinstance(payload, dict) else None
+        if not isinstance(state, dict) or "u" not in state:
+            raise ConfigError(f"seed file {args.seed} holds no 'u' vector")
+        seed = state["u"]
     cfg = _mesh_config(args) | {
         "eigen_count": args.eig_count,
         "rng_seed": args.rng_seed,
@@ -565,6 +570,9 @@ def cmd_sharpness(args) -> int:
 # pipeline runner
 
 
+_OBJECT_SECTIONS = ("surface", "green", "bounds", "maximize", "diagnostics", "sharpness")
+
+
 def _parse_config(text: str) -> dict:
     try:
         cfg = json.loads(text)
@@ -574,6 +582,15 @@ def _parse_config(text: str) -> dict:
         raise ConfigError("config must be a JSON object")
     if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}")
+    for name in _OBJECT_SECTIONS:
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ConfigError(f"config '{name}' must be an object")
+    alpha = cfg.get("alpha", 0.0)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float, dict)):
+        raise ConfigError("config 'alpha' must be a number or an object")
+    pipeline = cfg.get("pipeline", [])
+    if not (isinstance(pipeline, list) and all(isinstance(s, str) for s in pipeline)):
+        raise ConfigError("config 'pipeline' must be a list of stage names")
     return cfg
 
 

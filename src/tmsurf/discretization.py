@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._sums import grouped_sorted_sum, segment_sorted_sum, sorted_sum
-from .geometry import GroupAction, SurfaceMesh, triangle_areas, triangle_corners, triangle_edge_sq
+from .geometry import GroupAction, SurfaceMesh, triangle_corners, triangle_edge_sq
 
 __all__ = [
     "DiscretizationError",
@@ -86,10 +86,7 @@ def assemble(mesh: SurfaceMesh) -> FemOperators:
     """Cotangent stiffness and P1 mass matrices with order-independent sums."""
     corners = triangle_corners(mesh)
     sq = triangle_edge_sq(corners)  # (m, 3), entry i: squared edge opposite corner i
-    area = triangle_areas(mesh)
-    bad = np.flatnonzero(area <= 1e-14)
-    if bad.size:
-        raise DiscretizationError(f"degenerate triangle {int(bad[0])}: {mesh.triangles[bad[0]].tolist()}")
+    area = mesh.face_areas  # positive: the mesh builders reject degenerate triangles
 
     cot_w = np.empty_like(sq)  # cot(angle at corner i) / 2
     for i in range(3):

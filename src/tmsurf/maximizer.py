@@ -43,7 +43,6 @@ from .geometry import (
     geodesic_distance,
     mean_edge_length,
     orbit_stats,
-    triangle_areas,
     triangle_corners,
     triangle_edge_sq,
 )
@@ -360,7 +359,7 @@ def triangle_dirichlet_energies(u: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
     only on the multiset of (edge, value-difference) pairs.
     """
     sq = triangle_edge_sq(triangle_corners(mesh))
-    area = triangle_areas(mesh)
+    area = mesh.face_areas
     tri = mesh.triangles
     terms = np.empty_like(sq)
     for i in range(3):

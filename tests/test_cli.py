@@ -106,6 +106,11 @@ def test_maximize_command_and_seed_file(tmp_path):
     assert state2["value"] == pytest.approx(state["value"], rel=1e-9)
     assert state2["iterations"] <= state["iterations"]
 
+    # the state.json just written restarts the solver as it is, with "u" under "state"
+    out3 = tmp_path / "state3.json"
+    assert cli.main(argv[:-1] + [str(out3), "--seed", str(out)]) == 0
+    assert out3.read_bytes() == out2.read_bytes()
+
 
 def test_maximize_iteration_cap_exit(tmp_path):
     out = tmp_path / "state.json"
@@ -158,6 +163,15 @@ def test_config_errors_exit_2(tmp_path):
         "eps_sub": _run_config(tmp_path, "eps_sub.json", alpha=1.5, pipeline=["maximize"],
                                maximize={"epsilon_sub": float("nan")}),
     }
+    # config sections of the wrong JSON type are input errors, not stage failures
+    wrong_types = {
+        "surface": "sphere", "green": "auto", "bounds": [1e-3], "maximize": 1.0,
+        "diagnostics": [], "sharpness": None, "alpha": "half", "pipeline": "mesh",
+    }
+    for key, value in wrong_types.items():
+        cases[f"type_{key}"] = _run_config(tmp_path, f"type_{key}.json", **{key: value})
+    cases["type_alpha_bool"] = _run_config(tmp_path, "type_alpha_bool.json", alpha=True)
+    cases["type_stage_name"] = _run_config(tmp_path, "type_stage_name.json", pipeline=[["mesh"]])
     for name, cfg in cases.items():
         assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / name)]) == 2, name
         assert not (tmp_path / name / "results.json").exists(), name

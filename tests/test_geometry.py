@@ -1,8 +1,11 @@
 """Meshes, exact group actions, geodesics and interchange formats."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from tmsurf import geometry
 from tmsurf.geometry import (
     GroupError,
     MeshError,
@@ -211,3 +214,88 @@ def test_group_json_validation(tmp_path):
     path.write_text('{"name": "x", "permutations": [[0, 1, 2]]}')
     with pytest.raises(GroupError, match="act on 3"):
         read_group_json(path, n_vertices=5)
+
+
+# sha256 of the exports of a level-2 antipodal sphere and a 6x8 shift(3,0)
+# torus; the OFF and JSON writers must keep producing exactly these bytes.
+GOLDEN_SHA256 = {
+    "sphere.off": "0b33bd2575e875b8675165e7a5fe9db0b8aed15160012941852ab894788e90d6",
+    "sphere.json": "f57d5aa4a5fbf5c4a75ad0049ab72baacd04b7e21f6092df27382f992425711d",
+    "torus.off": "ccf0e2e2133695a1f5b4c5630520bd6017ed4ddd3f229ad314353401b7c3a8f8",
+    "torus.json": "fc90a859194b7f2f749797835b73be0fad3031349ffdbed90be477cf2a900287",
+}
+
+
+def test_export_golden_bytes(tmp_path):
+    built = {
+        "sphere": build_sphere_mesh(2, "antipodal"),
+        "torus": build_flat_torus_mesh(6, 8, group_kind="shift(3,0)"),
+    }
+    for name, (mesh, action) in built.items():
+        write_off(mesh, tmp_path / f"{name}.off")
+        write_group_json(action, tmp_path / f"{name}.json")
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _messy_off(clean: str) -> bytes:
+    """The same OFF with comment lines, trailing comments, tabs and CRLF endings.
+
+    A torus comment goes in first, so the sphere comment after it must win.
+    """
+    lines = clean.splitlines()
+    messy = [lines[0], "# torus periods 2.0 3.0"]
+    for k, line in enumerate(lines[1:], start=1):
+        if k >= 3 and k % 5 == 0:
+            messy.append("#\tcomment between data lines")
+        line = line.replace(" ", "\t " if k % 2 else "  ")
+        if k >= 3 and k % 3 == 0:
+            line += "  # trailing note 1 2 3"
+        messy.append(line)
+    return ("\r\n".join(messy) + "\r\n").encode()
+
+
+def test_off_comments_and_whitespace(tmp_path, sphere3):
+    clean, messy = tmp_path / "clean.off", tmp_path / "messy.off"
+    write_off(sphere3.mesh, clean)
+    messy.write_bytes(_messy_off(clean.read_text()))
+    a, b = read_off(clean), read_off(messy)
+    assert (b.surface_kind, b.level) == (a.surface_kind, a.level) == ("sphere", 3)
+    for field in ("vertices", "triangles", "vertex_areas", "face_areas"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def test_off_rejects_edge_shared_four_times(tmp_path):
+    # two closed tetrahedra glued along the edge (0, 1): every edge count is
+    # even, but that edge bounds four triangles
+    verts = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 -1 0\n0 0 -1\n"
+    faces = ["0 1 2", "0 3 1", "0 2 3", "1 3 2", "0 4 1", "0 1 5", "0 5 4", "1 4 5"]
+    path = tmp_path / "glued.off"
+    path.write_text("OFF\n6 8 0\n" + verts + "".join(f"3 {f}\n" for f in faces))
+    with pytest.raises(MeshError, match="not closed"):
+        read_off(path)
+
+
+def test_vertex_permutations_match_row_lookup():
+    """The sorted-row search gives what a per-vertex dictionary lookup gives."""
+    mesh, action = build_sphere_mesh(2, "dihedral(4)")
+    mats = geometry._close_matrix_group(geometry._sphere_generators("dihedral", 4))
+    table = {row.tobytes(): i for i, row in enumerate(mesh.vertices)}
+    assert len(mats) == action.order == 8
+    for perm, mat in zip(action.permutations, mats):
+        image = mesh.vertices @ mat.T.astype(float) + 0.0
+        assert perm.tolist() == [table[row.tobytes()] for row in image]
+
+
+def test_nudged_vertex_breaks_point_group(tmp_path):
+    mesh, _ = build_sphere_mesh(2, "antipodal")
+    path = tmp_path / "s.off"
+    write_off(mesh, path)
+    lines = path.read_text().splitlines()
+    row = 3 + 17  # vertex 17
+    x, y, z = map(float, lines[row].split())
+    lines[row] = f"{float(np.nextafter(x, np.inf))!r} {y!r} {z!r}"
+    path.write_text("\n".join(lines) + "\n")
+    nudged = read_off(path)
+    with pytest.raises(GroupError, match="is not a mesh vertex"):
+        group_action(nudged, "antipodal")
