@@ -29,11 +29,12 @@ from .constructions.green import (
     extract_A,
     green_l2_norm_sq,
     green_solve,
+    invariant_shifted_solver,
     richardson_pair,
     upper_bound_value,
 )
 from .constructions.radial import radial_model, surface_model
-from .discretization import FemOperators, NormParams, assemble
+from .discretization import FemOperators, NormParams, OrbitReduction, assemble, orbit_reduction
 from .geometry import (
     GroupAction,
     SurfaceMesh,
@@ -229,9 +230,11 @@ class Context:
     mesh: SurfaceMesh | None = None
     action: GroupAction | None = None
     ops: FemOperators | None = None
+    red: OrbitReduction | None = None  # built once, shared by spectrum, green and maximize
     spec: InvariantSpectrum | None = None
     dec: GreenDecomposition | None = None
     state: MaximizerState | None = None
+    solver: tuple | None = None  # (alpha, solve): the one factorization held, see shifted_solver
 
     def export(self, name: str, write) -> None:
         """Let ``write`` put the per-stage file ``name`` into the run directory."""
@@ -239,23 +242,60 @@ class Context:
             write(self.out / name)
             self.outputs.append(name)
 
+    def shifted_solver(self, alpha: float):
+        """The solver of (K - alpha M) on orbit unknowns, factored once per alpha.
+
+        A new alpha releases the previous factorization before building its own;
+        ``run_stages`` releases the last one when no stage left needs it.
+        """
+        if self.solver is None or self.solver[0] != alpha:
+            self.solver = None
+            self.solver = (alpha, invariant_shifted_solver(self.red, alpha))
+        return self.solver[1]
+
+
+def _number(value, name: str, kind=float):
+    """A config value that must be a JSON number, converted by ``kind``.
+
+    An integer key also takes an integral float (``3.0``).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config '{name}' must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config '{name}' must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _numbers(value, name: str, kind=float) -> list:
+    """A config value that must be a list of JSON numbers, each as in ``_number``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config '{name}' must be a list of numbers, got {value!r}")
+    return [_number(v, name, kind) for v in value]
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"config '{name}' must be a string, got {value!r}")
+    return value
+
 
 def _config_mesh(cfg: dict):
     surface = cfg.get("surface", {})
     kind = surface.get("kind", "sphere")
-    group = cfg.get("group", "trivial")
+    group = _text(cfg.get("group", "trivial"), "group")
     if kind == "sphere":
-        return build_sphere_mesh(int(surface.get("level", 4)), group)
+        return build_sphere_mesh(_number(surface.get("level", 4), "level", int), group)
     if kind == "torus":
-        periods = tuple(surface.get("periods", (1.0, 1.0)))
-        return build_flat_torus_mesh(
-            int(surface.get("nx", 64)), int(surface.get("ny", 64)), periods, group_kind=group
-        )
+        periods = tuple(_numbers(surface.get("periods", (1.0, 1.0)), "periods"))
+        if len(periods) != 2:
+            raise ConfigError(f"config 'periods' must hold two numbers, got {list(periods)}")
+        nx, ny = (_number(surface.get(key, 64), key, int) for key in ("nx", "ny"))
+        return build_flat_torus_mesh(nx, ny, periods, group_kind=group)
     if kind == "off":
-        mesh = read_off(surface["path"])
+        mesh = read_off(_text(surface["path"], "path"))
         if "perms" not in surface:
             return mesh, group_action(mesh, group)
-        action = read_group_json(surface["perms"], mesh.n_vertices)
+        action = read_group_json(_text(surface["perms"], "perms"), mesh.n_vertices)
         check_group_action(mesh, action)
         return mesh, action
     raise ConfigError(f"unknown surface kind {kind!r}")
@@ -263,9 +303,9 @@ def _config_mesh(cfg: dict):
 
 def _resolve_alpha(cfg_alpha, spec) -> float:
     if isinstance(cfg_alpha, dict):
-        level = int(cfg_alpha.get("level", 1))
-        return float(cfg_alpha["gap_fraction"]) * spec.group_value(level)
-    return float(cfg_alpha)
+        level = _number(cfg_alpha.get("level", 1), "level", int)
+        return _number(cfg_alpha["gap_fraction"], "gap_fraction") * spec.group_value(level)
+    return _number(cfg_alpha, "alpha")
 
 
 def _stage_mesh(ctx: Context) -> None:
@@ -287,8 +327,10 @@ def _stage_mesh(ctx: Context) -> None:
 
 def _stage_spectrum(ctx: Context) -> None:
     ctx.ops = assemble(ctx.mesh)
-    count = int(ctx.cfg.get("eigen_count", 8))
-    ctx.spec = invariant_spectrum(ctx.ops, ctx.action, count, seed=int(ctx.cfg.get("rng_seed", 0)))
+    ctx.red = orbit_reduction(ctx.ops, ctx.action)
+    count = _number(ctx.cfg.get("eigen_count", 8), "eigen_count", int)
+    seed = _number(ctx.cfg.get("rng_seed", 0), "rng_seed", int)
+    ctx.spec = invariant_spectrum(ctx.ops, ctx.action, count, seed=seed, red=ctx.red)
     ctx.results["spectrum"] = _spectrum_payload(ctx.spec)
 
 
@@ -297,8 +339,13 @@ def _stage_green(ctx: Context) -> None:
     params = NormParams(alpha=alpha, lambda_gap=ctx.spec.lambda_1, beta=1.0)
     source = ctx.cfg.get("green", {}).get("source", "auto")
     if source == "auto":  # a vertex of a minimal orbit
-        source = orbit_stats(ctx.action).min_vertices[0]
-    ctx.dec = green_solve(ctx.ops, ctx.action, int(source), params)
+        source = int(orbit_stats(ctx.action).min_vertices[0])
+    elif isinstance(source, str):  # `tm green --orbit 5`
+        source = int(source)
+    source = _number(source, "source", int)
+    if not 0 <= source < ctx.mesh.n_vertices:
+        raise ConfigError(f"green source {source} is not a vertex index (0..{ctx.mesh.n_vertices - 1})")
+    ctx.dec = green_solve(ctx.ops, ctx.action, source, params, solve=ctx.shifted_solver(alpha))
     extract_A(ctx.dec)
     green_l2_norm_sq(ctx.dec)
     bound = upper_bound_value(ctx.dec)
@@ -308,8 +355,8 @@ def _stage_green(ctx: Context) -> None:
 
 def _stage_bounds(ctx: Context) -> None:
     bcfg = ctx.cfg.get("bounds", {})
-    epsilons = [float(e) for e in bcfg.get("epsilons", (1e-3, 1e-4, 1e-5))]
-    n_quad = int(bcfg.get("n_quad", 400))
+    epsilons = _numbers(bcfg.get("epsilons", (1e-3, 1e-4, 1e-5)), "epsilons")
+    n_quad = _number(bcfg.get("n_quad", 400), "n_quad", int)
     outside = [e for e in epsilons if not 0.0 < e < EPS_MAX]
     if outside:
         raise ConfigError(f"eps {outside} outside (0, {EPS_MAX})")
@@ -325,21 +372,25 @@ def _stage_bounds(ctx: Context) -> None:
 def _stage_maximize(ctx: Context) -> None:
     mcfg = ctx.cfg.get("maximize", {})
     ell = ctx.action.min_orbit_size
-    eps_sub = float(mcfg.get("epsilon_sub", np.pi * ell))
+    eps_sub = _number(mcfg.get("epsilon_sub", np.pi * ell), "epsilon_sub")
     if not 0.0 < eps_sub < 4.0 * np.pi * ell:
         raise ConfigError(f"epsilon_sub={eps_sub} outside (0, 4*pi*ell={4 * np.pi * ell:.6g})")
-    comp = complement_projector(ctx.spec, ctx.ops, ctx.action, int(mcfg.get("level", 1)))
+    level = _number(mcfg.get("level", 1), "level", int)
+    comp = complement_projector(ctx.spec, ctx.ops, ctx.action, level)
     alpha = _resolve_alpha(mcfg.get("alpha", ctx.cfg.get("alpha", 0.0)), ctx.spec)
     problem = ProblemSpec(ctx.ops, ctx.action, comp, alpha, eps_sub)
     seed = mcfg.get("seed", "moser")
     if isinstance(seed, list):
-        seed = np.asarray(seed, dtype=float)
+        seed = np.asarray(_numbers(seed, "seed"))
+    elif seed not in ("moser", "symmetric", "random"):
+        raise ConfigError(f"config 'seed' must be 'moser', 'symmetric', 'random' or a list, got {seed!r}")
     state = ctx.state = solve_subcritical(
         problem,
         seed,
-        max_iters=int(mcfg.get("max_iters", 400)),
-        tol=float(mcfg.get("tol", 1e-8)),
-        rng_seed=int(ctx.cfg.get("rng_seed", 0)),
+        max_iters=_number(mcfg.get("max_iters", 400), "max_iters", int),
+        tol=_number(mcfg.get("tol", 1e-8), "tol"),
+        rng_seed=_number(ctx.cfg.get("rng_seed", 0), "rng_seed", int),
+        solve=ctx.shifted_solver(alpha),
     )
     rep = multiplier_report(state, ctx.ops)
     ctx.results["maximize"] = _state_payload(state, with_vector=False)
@@ -362,8 +413,8 @@ def _stage_diagnostics(ctx: Context) -> None:
         ctx.mesh,
         ctx.action,
         BubbleProfile(ctx.action.min_orbit_size),
-        dcfg.get("radii", (0.1, 0.2, 0.4)),
-        c_threshold=float(dcfg.get("c_threshold", 3.0)),
+        _numbers(dcfg.get("radii", (0.1, 0.2, 0.4)), "radii"),
+        c_threshold=_number(dcfg.get("c_threshold", 3.0), "c_threshold"),
     )
     ctx.results["diagnostics"] = {
         "r_eps": diag.r_eps,
@@ -388,13 +439,16 @@ def _stage_sharpness(ctx: Context) -> None:
         model = radial_model(ctx.mesh)
     ctx.results["sharpness"] = sharpness_probe(
         model,
-        int(scfg["ell"]) if "ell" in scfg else ctx.action.min_orbit_size,
-        scfg.get("beta_grid", ()),
-        scfg.get("k_grid", ()),
-        r=float(scfg.get("r", 0.05)),
-        alpha=float(scfg.get("alpha", 0.0)),
+        _number(scfg["ell"], "ell", int) if "ell" in scfg else ctx.action.min_orbit_size,
+        _numbers(scfg.get("beta_grid", ()), "beta_grid"),
+        _numbers(scfg.get("k_grid", ()), "k_grid", int),
+        r=_number(scfg.get("r", 0.05), "r"),
+        alpha=_number(scfg.get("alpha", 0.0), "alpha"),
     )
 
+
+# Stages that solve with ctx.shifted_solver; the factorization is dropped after the last.
+_SOLVER_STAGES = {"green", "maximize"}
 
 # Stage name -> (function, stages it needs), in execution order.
 STAGES = {
@@ -418,13 +472,17 @@ def run_stages(ctx: Context, wanted) -> Context:
         if name in needed:
             needed.update(needs)
     for name, (stage, _) in STAGES.items():
-        if name in needed:
-            try:
-                stage(ctx)
-            except INPUT_ERRORS:
-                raise
-            except Exception as exc:
-                raise StageError(name, exc) from exc
+        if name not in needed:
+            continue
+        try:
+            stage(ctx)
+        except INPUT_ERRORS:
+            raise
+        except Exception as exc:
+            raise StageError(name, exc) from exc
+        needed.discard(name)
+        if not needed & _SOLVER_STAGES:
+            ctx.solver = None  # no stage left needs the factorization
     return ctx
 
 
@@ -591,6 +649,7 @@ def _parse_config(text: str) -> dict:
     pipeline = cfg.get("pipeline", [])
     if not (isinstance(pipeline, list) and all(isinstance(s, str) for s in pipeline)):
         raise ConfigError("config 'pipeline' must be a list of stage names")
+    _text(cfg.get("out_dir", "."), "out_dir")
     return cfg
 
 

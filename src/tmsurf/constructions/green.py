@@ -17,7 +17,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .._sums import sorted_sum
-from ..discretization import FemOperators, NormParams, orbit_reduction, project_invariant_meanzero
+from ..discretization import (
+    FemOperators,
+    NormParams,
+    OrbitReduction,
+    orbit_reduction,
+    project_invariant_meanzero,
+)
 from ..geometry import GroupAction, geodesic_distance, max_radius, mean_edge_length
 from ..spectrum import ComplementSpace
 from .radial import RadialModel, radial_integral, radial_model
@@ -42,17 +48,15 @@ class GreenError(RuntimeError):
     pass
 
 
-def invariant_shifted_solver(
-    ops: FemOperators, action: GroupAction, alpha: float
-) -> Callable[[np.ndarray], np.ndarray]:
+def invariant_shifted_solver(red: OrbitReduction, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
     """Factorized solver for (K - alpha M) u = b on the orbit-constant subspace.
 
     For alpha = 0 the operator is singular along constants; the factorization
     then carries a mean-zero multiplier row, which leaves balanced loads
     (sum b = 0) unchanged. Invariance of the solution is exact because the
-    solve happens on orbit unknowns.
+    solve happens on orbit unknowns. The factorization lives as long as the
+    returned solver, which callers share for one alpha and then drop.
     """
-    red = orbit_reduction(ops, action)
     shifted = (red.stiffness - alpha * red.mass).tocsc()
     if alpha == 0.0:
         w = red.areas.reshape(-1, 1)
@@ -109,8 +113,13 @@ def green_solve(
     source: int,
     params: NormParams,
     complement: ComplementSpace | None = None,
+    solve: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> GreenDecomposition:
-    """Solve the orbit-source Green problem and package the decomposition."""
+    """Solve the orbit-source Green problem and package the decomposition.
+
+    ``solve`` is an ``invariant_shifted_solver`` of (ops, action) at
+    ``params.alpha`` when the caller holds one; otherwise one is built here.
+    """
     n = ops.n
     if not 0 <= source < n:
         raise GreenError(f"source vertex {source} out of range")
@@ -127,7 +136,9 @@ def green_solve(
     if complement is not None and complement.removed:
         basis = complement.basis
         b = b - (ops.mass @ basis) @ basis[source]
-    g = invariant_shifted_solver(ops, action, params.alpha)(b)
+    if solve is None:
+        solve = invariant_shifted_solver(orbit_reduction(ops, action), params.alpha)
+    g = solve(b)
     g = project_invariant_meanzero(g, ops, action)
     if complement is not None and complement.removed:
         g = complement.project(g)

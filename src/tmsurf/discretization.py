@@ -27,6 +27,7 @@ __all__ = [
     "assemble",
     "orbit_reduction",
     "project_invariant_meanzero",
+    "remove_mass_mean",
     "quadratic_form_sq",
     "norm_one_alpha",
     "exp_functional",
@@ -83,41 +84,46 @@ class ExpFunctional(NamedTuple):
 
 
 def assemble(mesh: SurfaceMesh) -> FemOperators:
-    """Cotangent stiffness and P1 mass matrices with order-independent sums."""
-    corners = triangle_corners(mesh)
-    sq = triangle_edge_sq(corners)  # (m, 3), entry i: squared edge opposite corner i
+    """Cotangent stiffness and P1 mass matrices with order-independent sums.
+
+    Every entry is a value-sorted sum over its triangles, so the order of the
+    summands below does not matter; the transient arrays are filled in place
+    and released before the next sort to keep the peak near the output size.
+    """
+    sq = triangle_edge_sq(triangle_corners(mesh))  # (m, 3), entry i: squared edge opposite corner i
     area = mesh.face_areas  # positive: the mesh builders reject degenerate triangles
 
     cot_w = np.empty_like(sq)  # cot(angle at corner i) / 2
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         cot_w[:, i] = (sq[:, j] + sq[:, k] - sq[:, i]) / (8.0 * area)
+    del sq
 
     tri = mesh.triangles
-    n = mesh.n_vertices
-    rows, cols, kvals, mvals = [], [], [], []
+    n, m = mesh.n_vertices, len(tri)
+    keys = np.empty(6 * m, dtype=np.int64)  # row * n + col of each off-diagonal summand
+    kvals = np.empty(6 * m)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        for a, b in ((j, k), (k, j)):
-            rows.append(tri[:, a])
-            cols.append(tri[:, b])
-            kvals.append(-cot_w[:, i])
-            mvals.append(area / 12.0)
-    rows = np.concatenate(rows).astype(np.int64)
-    cols = np.concatenate(cols).astype(np.int64)
-    keys = rows * n + cols
-
-    uk, ksums = grouped_sorted_sum(keys, np.concatenate(kvals))
-    _, msums = grouped_sorted_sum(keys, np.concatenate(mvals))
+        for s, (a, b) in enumerate(((j, k), (k, j)), start=2 * i):
+            block = slice(s * m, (s + 1) * m)
+            np.multiply(tri[:, a], n, out=keys[block])
+            keys[block] += tri[:, b]
+            np.negative(cot_w[:, i], out=kvals[block])
+    uk, ksums = grouped_sorted_sum(keys, kvals)
+    del kvals
+    _, msums = grouped_sorted_sum(keys, np.tile(area / 12.0, 6))
+    del keys
     # diagonals accumulated separately so each is a value-sorted multiset sum
-    diag_idx = np.concatenate([tri[:, (i + 1) % 3] for i in range(3)] + [tri[:, (i + 2) % 3] for i in range(3)])
-    diag_w = np.concatenate([cot_w[:, i] for i in range(3)] * 2)
-    kdiag = segment_sorted_sum(diag_idx, diag_w, n)
+    kdiag = segment_sorted_sum(tri.T[[1, 2, 0, 2, 0, 1]], np.tile(cot_w.T, (2, 1)), n)
+    del cot_w
     mdiag = segment_sorted_sum(tri, np.repeat(area / 6.0, 3), n)
 
     all_rows = np.concatenate([uk // n, np.arange(n)])
     all_cols = np.concatenate([uk % n, np.arange(n)])
+    del uk
     K = sp.csr_matrix((np.concatenate([ksums, kdiag]), (all_rows, all_cols)), shape=(n, n))
+    del ksums, kdiag
     M = sp.csr_matrix((np.concatenate([msums, mdiag]), (all_rows, all_cols)), shape=(n, n))
     return FemOperators(mesh=mesh, stiffness=K, mass=M, lumped=mesh.vertex_areas.copy())
 
@@ -143,6 +149,7 @@ class OrbitReduction:
 
 
 def orbit_reduction(ops: FemOperators, action: GroupAction) -> OrbitReduction:
+    """Reduced operators of ``ops`` on the orbits of ``action``; build it once per run."""
     n = ops.n
     n_orb = action.n_orbits
     S = sp.csr_matrix((np.ones(n), (np.arange(n), action.orbit_index)), shape=(n, n_orb))
@@ -161,9 +168,12 @@ def project_invariant_meanzero(u: np.ndarray, ops: FemOperators, action: GroupAc
     if u.shape != (ops.n,):
         raise DiscretizationError(f"expected vector of length {ops.n}")
     gathered = u[action.permutations]  # (order, n)
-    v = np.sort(gathered, axis=0).sum(axis=0) / action.order
-    mean = float(np.dot(ops.lumped, v) / ops.mesh.total_area)
-    return v - mean
+    return remove_mass_mean(np.sort(gathered, axis=0).sum(axis=0) / action.order, ops)
+
+
+def remove_mass_mean(u: np.ndarray, ops: FemOperators) -> np.ndarray:
+    """u minus its lumped-mass mean; keeps an exactly invariant u exactly invariant."""
+    return u - float(np.dot(ops.lumped, u) / ops.mesh.total_area)
 
 
 def quadratic_form_sq(u: np.ndarray, ops: FemOperators, alpha: float) -> float:

@@ -229,8 +229,11 @@ def triangle_corners(mesh: SurfaceMesh) -> np.ndarray:
         nx, ny = mesh.grid_shape
         gi = mesh.grid_index[mesh.triangles]  # (m, 3, 2) integer corners
         d = gi - gi[:, :1, :]
+        del gi
         wrap = np.array([nx, ny])
-        d = (d + wrap // 2) % wrap - wrap // 2
+        d += wrap // 2  # in place: these integer arrays are as large as the mesh
+        d %= wrap
+        d -= wrap // 2
         spacing = np.array([mesh.periods[0] / nx, mesh.periods[1] / ny])
         return d * spacing
     return mesh.vertices[mesh.triangles]
@@ -600,10 +603,11 @@ def max_radius(mesh: SurfaceMesh) -> float:
 
 def mean_edge_length(mesh: SurfaceMesh) -> float:
     corners = triangle_corners(mesh)
-    e = np.concatenate(
-        [corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 1], corners[:, 0] - corners[:, 2]]
-    )
-    lengths = np.sqrt((e * e).sum(axis=1))
+    m = len(corners)
+    lengths = np.empty(3 * m)  # filled one side at a time, in the order of the sides
+    for side, (a, b) in enumerate(((1, 0), (2, 1), (0, 2))):
+        e = corners[:, a] - corners[:, b]
+        np.sqrt((e * e).sum(axis=1), out=lengths[side * m : (side + 1) * m])
     return float(lengths.mean())  # each interior edge counted twice; fine for a mean
 
 

@@ -35,6 +35,7 @@ from .discretization import (
     NormParams,
     exp_functional,
     norm_one_alpha,
+    orbit_reduction,
     quadratic_form_sq,
 )
 from .geometry import (
@@ -133,7 +134,9 @@ class MaximizerState:
 
 
 def _project(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    return spec.complement.project(u)
+    """Projection of an iterate: every one is a combination of orbit-solve
+    outputs, hence exactly invariant, so no group average is needed."""
+    return spec.complement.project_invariant(u)
 
 
 def _normalize(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
@@ -145,10 +148,10 @@ def _normalize(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
 
 def normalized_competitor(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Projection of arbitrary vertex values to the unit sphere of the problem."""
-    return _normalize(spec, _project(spec, np.asarray(values, dtype=float)))
+    return _normalize(spec, spec.complement.project(np.asarray(values, dtype=float)))
 
 
-def _seed_vector(spec: ProblemSpec, seed, rng_seed: int) -> np.ndarray:
+def _seed_vector(spec: ProblemSpec, seed, rng_seed: int, solve) -> np.ndarray:
     ops, action = spec.ops, spec.action
     if isinstance(seed, np.ndarray):
         return normalized_competitor(seed, spec)
@@ -167,7 +170,7 @@ def _seed_vector(spec: ProblemSpec, seed, rng_seed: int) -> np.ndarray:
         orbit = np.flatnonzero(action.orbit_index == action.orbit_index[center])
         b[orbit] = 1.0 / len(orbit)
         b -= ops.lumped / ops.mesh.total_area
-        return normalized_competitor(invariant_shifted_solver(ops, action, spec.alpha)(b), spec)
+        return normalized_competitor(solve(b), spec)
     raise MaximizerError(f"unknown seed {seed!r}; use 'moser', 'symmetric', 'random', or an array")
 
 
@@ -195,11 +198,11 @@ def _multipliers(spec: ProblemSpec, u: np.ndarray):
     return rhs, shift, lam_sh, mu_sh, gammas_sh / lam_sh
 
 
-def _residual(spec: ProblemSpec, u: np.ndarray, rhs: np.ndarray, solve) -> tuple[float, np.ndarray]:
+def _residual(spec: ProblemSpec, u: np.ndarray, rhs: np.ndarray, solve) -> float:
     ops = spec.ops
     r = ops.stiffness @ u - spec.alpha * (ops.mass @ u) - rhs
     d = _project(spec, solve(r))
-    return float(np.sqrt(max(float(d @ r), 0.0))), r
+    return float(np.sqrt(max(float(d @ r), 0.0)))
 
 
 def solve_subcritical(
@@ -208,6 +211,7 @@ def solve_subcritical(
     max_iters: int = 400,
     tol: float = _DEFAULT_TOL,
     rng_seed: int = 0,
+    solve=None,
 ) -> MaximizerState:
     """Projected-ascent maximizer with Euler-Lagrange fixed-point polish.
 
@@ -215,19 +219,25 @@ def solve_subcritical(
     (backtracking on the step); polish steps are accepted only when they
     shrink the dual-norm defect without losing functional value beyond
     round-off.  Non-convergence returns the best iterate flagged, never
-    raises.
+    raises.  ``solve`` is an ``invariant_shifted_solver`` at ``spec.alpha``
+    when the caller holds one; otherwise one is built here.
     """
     ops = spec.ops
-    solve = invariant_shifted_solver(ops, spec.action, spec.alpha)
-    u = _seed_vector(spec, seed, rng_seed)
+    if solve is None:
+        solve = invariant_shifted_solver(orbit_reduction(ops, spec.action), spec.alpha)
+    u = _seed_vector(spec, seed, rng_seed, solve)
     log_j = exp_functional(u, spec.beta, ops).log_value
     step = 1.0
     best = None  # (residual, u, log_j, iteration)
+    carried = None  # (rhs, residual) of an accepted polish trial, which is the next u
 
     it = 0
     for it in range(1, max_iters + 1):
-        rhs, _, _, _, _ = _multipliers(spec, u)
-        res, _ = _residual(spec, u, rhs, solve)
+        if carried is None:
+            rhs = _multipliers(spec, u)[0]
+            res = _residual(spec, u, rhs, solve)
+        else:
+            (rhs, res), carried = carried, None
         if best is None or res < best[0]:
             best = (res, u, log_j, it)
         if res <= tol:
@@ -243,10 +253,11 @@ def solve_subcritical(
             log_try = exp_functional(u_try, spec.beta, ops).log_value
             if log_try + 64 * np.finfo(float).eps * max(1.0, abs(log_j)) < log_j:
                 continue
-            rhs_try, _, _, _, _ = _multipliers(spec, u_try)
-            res_try, _ = _residual(spec, u_try, rhs_try, solve)
+            rhs_try = _multipliers(spec, u_try)[0]
+            res_try = _residual(spec, u_try, rhs_try, solve)
             if res_try < _POLISH_FACTOR * res:
                 u, log_j, moved = u_try, log_try, True
+                carried = (rhs_try, res_try)
                 break
         if moved:
             continue
@@ -269,7 +280,7 @@ def solve_subcritical(
 
     u = _normalize(spec, best[1])
     rhs, shift, lam_sh, mu_sh, gammas = _multipliers(spec, u)
-    res, _ = _residual(spec, u, rhs, solve)
+    res = _residual(spec, u, rhs, solve)
     val = exp_functional(u, spec.beta, ops)
     lam = lam_sh * np.exp(shift)
     if lam <= 0:

@@ -15,7 +15,13 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .discretization import FemOperators, orbit_reduction
+from .discretization import (
+    FemOperators,
+    OrbitReduction,
+    orbit_reduction,
+    project_invariant_meanzero,
+    remove_mass_mean,
+)
 from .geometry import GroupAction
 
 __all__ = [
@@ -67,12 +73,20 @@ def _group_eigenvalues(values: np.ndarray) -> list:
 
 
 def invariant_spectrum(
-    ops: FemOperators, action: GroupAction, count: int, seed: int = 0
+    ops: FemOperators,
+    action: GroupAction,
+    count: int,
+    seed: int = 0,
+    red: OrbitReduction | None = None,
 ) -> InvariantSpectrum:
-    """First ``count`` invariant mean-zero eigenpairs, ascending."""
+    """First ``count`` invariant mean-zero eigenpairs, ascending.
+
+    ``red`` is the orbit reduction of (ops, action) when the caller holds one.
+    """
     if count < 1:
         raise SpectrumError(f"count must be positive, got {count}")
-    red = orbit_reduction(ops, action)
+    if red is None:
+        red = orbit_reduction(ops, action)
     n_orb = red.n_orbits
     k_req = count + 1  # the orbit space still contains the constant mode
     if k_req > n_orb:
@@ -101,8 +115,7 @@ def invariant_spectrum(
     eigvecs = np.empty((n, count))
     residuals = np.empty(count)
     for i in range(count):
-        u = red.expand(vecs[:, i])
-        u = u - float(np.dot(ops.lumped, u) / ops.mesh.total_area)
+        u = remove_mass_mean(red.expand(vecs[:, i]), ops)
         u = u / np.sqrt(float(u @ (ops.mass @ u)))
         j = int(np.argmax(np.abs(u)))
         if u[j] < 0:  # deterministic sign
@@ -148,9 +161,16 @@ class ComplementSpace:
         return self.basis.shape[1]
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        from .discretization import project_invariant_meanzero
+        """Member of the complement nearest to arbitrary vertex values ``u``."""
+        return self._remove_basis(project_invariant_meanzero(u, self.ops, self.action))
 
-        v = project_invariant_meanzero(u, self.ops, self.action)
+    def project_invariant(self, u: np.ndarray) -> np.ndarray:
+        """``project`` for a ``u`` that is already exactly invariant, such as a
+        combination of orbit-solve outputs: no group average, only the mean
+        removal and the complement correction."""
+        return self._remove_basis(remove_mass_mean(u, self.ops))
+
+    def _remove_basis(self, v: np.ndarray) -> np.ndarray:
         if self.removed:
             v = v - self.basis @ (self.basis.T @ (self.ops.mass @ v))
         return v

@@ -41,6 +41,11 @@ def sphere3_trivial() -> Setup:
 
 
 @pytest.fixture(scope="session")
+def sphere3_dihedral4() -> Setup:
+    return _setup(build_sphere_mesh, 3, "dihedral(4)", count=12)
+
+
+@pytest.fixture(scope="session")
 def sphere4() -> Setup:
     return _setup(build_sphere_mesh, 4, "antipodal")
 

@@ -9,6 +9,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from tmsurf import cli
 
@@ -172,6 +173,17 @@ def test_config_errors_exit_2(tmp_path):
         cases[f"type_{key}"] = _run_config(tmp_path, f"type_{key}.json", **{key: value})
     cases["type_alpha_bool"] = _run_config(tmp_path, "type_alpha_bool.json", alpha=True)
     cases["type_stage_name"] = _run_config(tmp_path, "type_stage_name.json", pipeline=[["mesh"]])
+    # keys inside a section of the wrong JSON type, each read by the stage that runs
+    cases["type_epsilons"] = _run_config(tmp_path, "type_epsilons.json", bounds={"epsilons": 5})
+    cases["type_periods"] = _run_config(
+        tmp_path, "type_periods.json", surface={"kind": "torus", "nx": 8, "ny": 8, "periods": 5},
+        group="trivial", pipeline=["mesh"],
+    )
+    cases["type_beta_grid"] = _run_config(
+        tmp_path, "type_beta_grid.json", pipeline=["sharpness"],
+        sharpness={"ell": 2, "beta_grid": 5, "k_grid": [100, 1000]},
+    )
+    cases["type_source"] = _run_config(tmp_path, "type_source.json", green={"source": [1]})
     for name, cfg in cases.items():
         assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / name)]) == 2, name
         assert not (tmp_path / name / "results.json").exists(), name
@@ -343,6 +355,28 @@ def test_subcommands_match_run(parity_runs):
     without_u = {k: v for k, v in state["state"].items() if k != "u"}
     assert results["maximize"] == without_u | {"multiplier_checks": state["multiplier_checks"]}
     assert run_state["state"]["u"] == state["state"]["u"]
+
+
+def test_green_and_maximize_share_one_factorization(tmp_path, monkeypatch):
+    # level 3 takes the dense eigensolver, so every splu call is a shifted-operator factorization
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    cfg = _run_config(tmp_path, pipeline=["green", "maximize"], maximize={"epsilon_sub": 2 * np.pi})
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+    # a maximizer alpha of its own gets its own factorization; none outlives its last stage
+    own_alpha = {"surface": {"kind": "sphere", "level": 3}, "group": "antipodal", "alpha": 1.5,
+                 "maximize": {"alpha": 1.0, "epsilon_sub": 2 * np.pi}}
+    ctx = cli.run_stages(cli.Context(own_alpha), ["green", "maximize"])
+    assert len(calls) == 3
+    assert ctx.solver is None
 
 
 def test_compare_rejects_non_run_directory(tmp_path):

@@ -1,15 +1,20 @@
 """Operator assembly identities and the stabilized exponential functional."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tmsurf.discretization import (
     NormParams,
+    assemble,
     exp_functional,
     norm_one_alpha,
     project_invariant_meanzero,
     quadratic_form_sq,
 )
+from tmsurf.geometry import build_flat_torus_mesh, build_sphere_mesh
 
 
 def test_stiffness_annihilates_constants(sphere3, torus24):
@@ -26,6 +31,48 @@ def test_mass_row_sums_are_vertex_areas(sphere3, torus24):
         rows = np.asarray(ops.mass @ np.ones(ops.n))
         assert np.max(np.abs(rows - ops.lumped)) < 1e-14 * ops.mesh.total_area
         assert abs(ops.lumped.sum() - ops.mesh.total_area) < 1e-12 * ops.mesh.total_area
+
+
+def _csr_sha256(matrix) -> str:
+    matrix = matrix.copy()
+    matrix.sort_indices()
+    digest = hashlib.sha256()
+    for part in (matrix.data, matrix.indices, matrix.indptr):
+        digest.update(part.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of (data, indices, indptr) after sort_indices(), recorded before assembly
+# was rewritten to fill preallocated arrays; every later number depends on these bytes
+GOLDEN_OPERATORS = {
+    "sphere3": ("eada8c6b8dac4edeb4ac8e6bd6b20ff9723fb72fc97ca05c51e96a7588aa729a",
+                "5e01f9647465d0cae1d2d13cf4f4d92440b0edf556b1513315a43f18335f0390"),
+    "torus12": ("0ef520186fe09927868aa873efe6eb6ada4bd0070dc02d013ec852bc3149d019",
+                "76ebf73b4fde8b8140468617ad51bee122d725cf5197419af0229df2a467022c"),
+}
+
+
+def test_operator_golden_bytes(sphere3):
+    ops = {"sphere3": sphere3.ops, "torus12": assemble(build_flat_torus_mesh(12, 12)[0])}
+    for name, (k_digest, m_digest) in GOLDEN_OPERATORS.items():
+        assert _csr_sha256(ops[name].stiffness) == k_digest, name
+        assert _csr_sha256(ops[name].mass) == m_digest, name
+
+
+def test_assembly_transient_memory():
+    # the heap peak of assembly stays within 5x the operators it returns
+    mesh, _ = build_sphere_mesh(5, "antipodal")
+    tracemalloc.start()
+    try:
+        ops = assemble(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(
+        part.nbytes for matrix in (ops.stiffness, ops.mass)
+        for part in (matrix.data, matrix.indices, matrix.indptr)
+    )
+    assert peak <= 5 * returned, peak / returned
 
 
 def test_dirichlet_energy_of_coordinate_function(sphere4_trivial):

@@ -9,6 +9,7 @@ inside the first invariant eigencluster.
 import numpy as np
 import pytest
 
+from tmsurf import maximizer
 from tmsurf.constructions import BubbleProfile
 from tmsurf.discretization import norm_one_alpha, quadratic_form_sq
 from tmsurf.geometry import geodesic_distance, orbit_stats
@@ -122,6 +123,28 @@ def test_solver_deterministic(sphere3, moderate_state):
     np.testing.assert_array_equal(again.u, state.u)
     assert again.value == state.value
     assert again.iterations == state.iterations
+
+
+@pytest.mark.parametrize("setup", ["sphere3", "sphere3_dihedral4"])
+def test_iterates_stay_exactly_invariant(request, monkeypatch, setup):
+    # the loop projects its iterates without a group average; that is sound only
+    # if every normalized vector it forms is bitwise invariant, including at
+    # level 2, where the complement correction mixes in eigenvectors; a random
+    # seed is the one input that needs the group average
+    s = request.getfixturevalue(setup)
+    seen = []
+    normalize = maximizer._normalize
+
+    def recording(spec, u):
+        seen.append(normalize(spec, u))
+        return seen[-1]
+
+    monkeypatch.setattr(maximizer, "_normalize", recording)
+    state = solve_subcritical(_spec(s, epsilon_sub=2 * np.pi, level=2, alpha_frac=0.05), "random")
+    assert state.converged
+    assert len(seen) > state.iterations
+    for u in seen:
+        assert np.array_equal(u[s.action.permutations], np.broadcast_to(u, s.action.permutations.shape))
 
 
 def test_unknown_seed_rejected(sphere3):
