@@ -255,12 +255,14 @@ class Context:
 
 
 def _number(value, name: str, kind=float):
-    """A config value that must be a JSON number, converted by ``kind``.
+    """A config value that must be a finite JSON number, converted by ``kind``.
 
     An integer key also takes an integral float (``3.0``).
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config '{name}' must be a number, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"config '{name}' must be finite, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"config '{name}' must be an integer, got {value!r}")
     return kind(value)
@@ -301,9 +303,17 @@ def _config_mesh(cfg: dict):
     raise ConfigError(f"unknown surface kind {kind!r}")
 
 
+def _cluster_level(value, spec) -> int:
+    """A config eigenvalue level: the 1-based index of a computed cluster."""
+    level = _number(value, "level", int)
+    if not 1 <= level <= len(spec.groups):
+        raise ConfigError(f"config 'level' {level} is not a cluster of the spectrum (1..{len(spec.groups)})")
+    return level
+
+
 def _resolve_alpha(cfg_alpha, spec) -> float:
     if isinstance(cfg_alpha, dict):
-        level = _number(cfg_alpha.get("level", 1), "level", int)
+        level = _cluster_level(cfg_alpha.get("level", 1), spec)
         return _number(cfg_alpha["gap_fraction"], "gap_fraction") * spec.group_value(level)
     return _number(cfg_alpha, "alpha")
 
@@ -329,6 +339,8 @@ def _stage_spectrum(ctx: Context) -> None:
     ctx.ops = assemble(ctx.mesh)
     ctx.red = orbit_reduction(ctx.ops, ctx.action)
     count = _number(ctx.cfg.get("eigen_count", 8), "eigen_count", int)
+    if not 1 <= count < ctx.red.n:
+        raise ConfigError(f"config 'eigen_count' {count} outside 1..{ctx.red.n - 1}, the invariant modes")
     seed = _number(ctx.cfg.get("rng_seed", 0), "rng_seed", int)
     ctx.spec = invariant_spectrum(ctx.ops, ctx.action, count, seed=seed, red=ctx.red)
     ctx.results["spectrum"] = _spectrum_payload(ctx.spec)
@@ -345,7 +357,7 @@ def _stage_green(ctx: Context) -> None:
     source = _number(source, "source", int)
     if not 0 <= source < ctx.mesh.n_vertices:
         raise ConfigError(f"green source {source} is not a vertex index (0..{ctx.mesh.n_vertices - 1})")
-    ctx.dec = green_solve(ctx.ops, ctx.action, source, params, solve=ctx.shifted_solver(alpha))
+    ctx.dec = green_solve(ctx.ops, ctx.action, source, params, ctx.red, ctx.shifted_solver(alpha))
     extract_A(ctx.dec)
     green_l2_norm_sq(ctx.dec)
     bound = upper_bound_value(ctx.dec)
@@ -375,10 +387,10 @@ def _stage_maximize(ctx: Context) -> None:
     eps_sub = _number(mcfg.get("epsilon_sub", np.pi * ell), "epsilon_sub")
     if not 0.0 < eps_sub < 4.0 * np.pi * ell:
         raise ConfigError(f"epsilon_sub={eps_sub} outside (0, 4*pi*ell={4 * np.pi * ell:.6g})")
-    level = _number(mcfg.get("level", 1), "level", int)
-    comp = complement_projector(ctx.spec, ctx.ops, ctx.action, level)
+    level = _cluster_level(mcfg.get("level", 1), ctx.spec)
+    comp = complement_projector(ctx.spec, level)
     alpha = _resolve_alpha(mcfg.get("alpha", ctx.cfg.get("alpha", 0.0)), ctx.spec)
-    problem = ProblemSpec(ctx.ops, ctx.action, comp, alpha, eps_sub)
+    problem = ProblemSpec(ctx.ops, ctx.action, comp, alpha, eps_sub, red=ctx.red)
     seed = mcfg.get("seed", "moser")
     if isinstance(seed, list):
         seed = np.asarray(_numbers(seed, "seed"))
@@ -437,11 +449,15 @@ def _stage_sharpness(ctx: Context) -> None:
         model = surface_model(surface["kind"], surface["periods"])
     else:
         model = radial_model(ctx.mesh)
+    beta_grid = _numbers(scfg.get("beta_grid", ()), "beta_grid")
+    k_grid = _numbers(scfg.get("k_grid", ()), "k_grid", int)
+    if beta_grid and (len(k_grid) < 2 or min(k_grid) < 1):
+        raise ConfigError(f"config 'k_grid' needs two or more heights >= 1 for a slope, got {k_grid}")
     ctx.results["sharpness"] = sharpness_probe(
         model,
         _number(scfg["ell"], "ell", int) if "ell" in scfg else ctx.action.min_orbit_size,
-        _numbers(scfg.get("beta_grid", ()), "beta_grid"),
-        _numbers(scfg.get("k_grid", ()), "k_grid", int),
+        beta_grid,
+        k_grid,
         r=_number(scfg.get("r", 0.05), "r"),
         alpha=_number(scfg.get("alpha", 0.0), "alpha"),
     )

@@ -22,10 +22,9 @@ from ..discretization import (
     NormParams,
     OrbitReduction,
     orbit_reduction,
-    project_invariant_meanzero,
+    remove_mass_mean,
 )
 from ..geometry import GroupAction, geodesic_distance, max_radius, mean_edge_length
-from ..spectrum import ComplementSpace
 from .radial import RadialModel, radial_integral, radial_model
 
 __all__ = [
@@ -49,34 +48,26 @@ class GreenError(RuntimeError):
 
 
 def invariant_shifted_solver(red: OrbitReduction, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Factorized solver for (K - alpha M) u = b on the orbit-constant subspace.
+    """Factorized solver of (K_r - alpha M_r) w = b on orbit unknowns.
 
+    ``b`` is an orbit load (``red.reduce`` of a vertex load) and ``w`` an orbit
+    vector, so the invariance of ``red.expand(w)`` is exact by construction.
     For alpha = 0 the operator is singular along constants; the factorization
     then carries a mean-zero multiplier row, which leaves balanced loads
-    (sum b = 0) unchanged. Invariance of the solution is exact because the
-    solve happens on orbit unknowns. The factorization lives as long as the
-    returned solver, which callers share for one alpha and then drop.
+    (sum b = 0) unchanged. The factorization lives as long as the returned
+    solver, which callers share for one alpha and then drop.
     """
     shifted = (red.stiffness - alpha * red.mass).tocsc()
     if alpha == 0.0:
-        w = red.areas.reshape(-1, 1)
+        w = red.lumped.reshape(-1, 1)
         kkt = sp.bmat([[shifted, sp.csc_matrix(w)], [sp.csc_matrix(w.T), None]], format="csc")
         lu = spla.splu(kkt)
-
-        def solve(b_full: np.ndarray) -> np.ndarray:
-            rhs = np.append(red.reduce(b_full), 0.0)
-            return red.expand(lu.solve(rhs)[:-1])
-
-        return solve
+        return lambda b: lu.solve(np.append(b, 0.0))[:-1]
     try:
         lu = spla.splu(shifted)
     except RuntimeError as exc:
         raise GreenError(f"shifted operator is singular at alpha={alpha}: {exc}") from exc
-
-    def solve(b_full: np.ndarray) -> np.ndarray:
-        return red.expand(lu.solve(red.reduce(b_full)))
-
-    return solve
+    return lu.solve
 
 
 @dataclass(eq=False)
@@ -112,13 +103,14 @@ def green_solve(
     action: GroupAction,
     source: int,
     params: NormParams,
-    complement: ComplementSpace | None = None,
+    red: OrbitReduction | None = None,
     solve: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> GreenDecomposition:
     """Solve the orbit-source Green problem and package the decomposition.
 
-    ``solve`` is an ``invariant_shifted_solver`` of (ops, action) at
-    ``params.alpha`` when the caller holds one; otherwise one is built here.
+    ``red`` is the orbit reduction of (ops, action) and ``solve`` an
+    ``invariant_shifted_solver`` of it at ``params.alpha`` when the caller
+    holds them; otherwise they are built here.
     """
     n = ops.n
     if not 0 <= source < n:
@@ -133,15 +125,11 @@ def green_solve(
         )
     b = -ops.lumped / ops.mesh.total_area
     b[orbit] += 1.0 / ell
-    if complement is not None and complement.removed:
-        basis = complement.basis
-        b = b - (ops.mass @ basis) @ basis[source]
+    if red is None:
+        red = orbit_reduction(ops, action)
     if solve is None:
-        solve = invariant_shifted_solver(orbit_reduction(ops, action), params.alpha)
-    g = solve(b)
-    g = project_invariant_meanzero(g, ops, action)
-    if complement is not None and complement.removed:
-        g = complement.project(g)
+        solve = invariant_shifted_solver(red, params.alpha)
+    g = remove_mass_mean(red.expand(solve(red.reduce(b))), ops)
     res = np.linalg.norm(ops.stiffness @ g - params.alpha * (ops.mass @ g) - b)
     if res > _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b))):
         raise GreenError(f"Green solve residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e}")

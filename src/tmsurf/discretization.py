@@ -1,10 +1,10 @@
 """P1 finite elements on surface meshes.
 
-Cotangent stiffness and consistent/lumped mass matrices, the invariant
-mean-zero projection, the gradient norm with spectral shift, and the
-overflow-safe exponential functional. Assembly accumulates every matrix
-entry in value-sorted order, so the operators commute with the group's
-permutation matrices bitwise.
+Cotangent stiffness and consistent/lumped mass matrices, their reduction to
+orbit unknowns, the invariant mean-zero projection, the gradient norm with
+spectral shift, and the overflow-safe exponential functional. Assembly
+accumulates every matrix entry in value-sorted order, so the operators
+commute with the group's permutation matrices bitwise.
 """
 
 from __future__ import annotations
@@ -129,16 +129,19 @@ def assemble(mesh: SurfaceMesh) -> FemOperators:
 
 
 @dataclass(eq=False)
-class OrbitReduction:
-    """Restriction of the operators to orbit-constant (invariant) vectors."""
+class OrbitReduction(FemOperators):
+    """The operators on invariant vectors u = S w, one unknown w per orbit.
+
+    S^T K S, S^T M S and the orbit areas S^T a take the places of K, M and a,
+    so ``quadratic_form_sq``, ``norm_one_alpha``, ``exp_functional`` and
+    ``remove_mass_mean`` take w in place of u.
+    """
 
     S: sp.csr_matrix  # (n, n_orbits) orbit indicator
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
-    areas: np.ndarray  # orbit lumped areas
+    reps: np.ndarray  # first vertex of each orbit; u[reps] is exact for invariant u
 
     @property
-    def n_orbits(self) -> int:
+    def n(self) -> int:
         return self.S.shape[1]
 
     def expand(self, w: np.ndarray) -> np.ndarray:
@@ -155,7 +158,9 @@ def orbit_reduction(ops: FemOperators, action: GroupAction) -> OrbitReduction:
     S = sp.csr_matrix((np.ones(n), (np.arange(n), action.orbit_index)), shape=(n, n_orb))
     K_red = (S.T @ ops.stiffness @ S).tocsr()
     M_red = (S.T @ ops.mass @ S).tocsr()
-    return OrbitReduction(S=S, stiffness=K_red, mass=M_red, areas=S.T @ ops.lumped)
+    reps = np.unique(action.orbit_index, return_index=True)[1]
+    return OrbitReduction(mesh=ops.mesh, stiffness=K_red, mass=M_red, lumped=S.T @ ops.lumped,
+                          S=S, reps=reps)
 
 
 def project_invariant_meanzero(u: np.ndarray, ops: FemOperators, action: GroupAction) -> np.ndarray:

@@ -11,7 +11,10 @@ Euler-Lagrange system
 where F(u) = a * u * exp(beta u^2) is the lumped nonlinear load, a the lumped
 areas, lambda = u.F, mu = sum(F)/Vol, and gamma_k = e_k.F / lambda.  All
 multiplier terms are scale-free ratios of the load, so the iteration is
-evaluated with the peak exponent shifted out and never overflows.
+evaluated with the peak exponent shifted out and never overflows.  It runs on
+orbit unknowns w, u = S w, with the reduced K, M and areas, so invariance is
+exact by construction; vertex vectors appear only in the seed, the returned u
+and the numbers reported with it.
 """
 
 from __future__ import annotations
@@ -33,10 +36,13 @@ from .constructions.moser import (
 from .discretization import (
     FemOperators,
     NormParams,
+    OrbitReduction,
     exp_functional,
     norm_one_alpha,
     orbit_reduction,
+    project_invariant_meanzero,
     quadratic_form_sq,
+    remove_mass_mean,
 )
 from .geometry import (
     GroupAction,
@@ -79,7 +85,8 @@ class ProblemSpec:
     """Maximization problem at exponent 4*pi*ell - epsilon_sub on level ``j``.
 
     ``complement`` carries the working subspace (level 1 removes nothing) and
-    the eigenvalue gap that ``alpha`` must stay below.
+    the eigenvalue gap that ``alpha`` must stay below.  The solver iterates on
+    the orbits of ``red``, built from (ops, action) when not given.
     """
 
     ops: FemOperators
@@ -87,6 +94,8 @@ class ProblemSpec:
     complement: ComplementSpace
     alpha: float
     epsilon_sub: float
+    red: OrbitReduction | None = None
+    orbit_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ell = self.action.min_orbit_size
@@ -99,6 +108,9 @@ class ProblemSpec:
                 f"alpha={self.alpha} is not below the level-{self.complement.level} "
                 f"gap {self.complement.lambda_level:.6g}"
             )
+        if self.red is None:
+            self.red = orbit_reduction(self.ops, self.action)
+        self.orbit_basis = self.complement.basis[self.red.reps]
 
     @property
     def ell(self) -> int:
@@ -133,55 +145,58 @@ class MaximizerState:
     spec: ProblemSpec = field(repr=False, default=None)
 
 
-def _project(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    """Projection of an iterate: every one is a combination of orbit-solve
-    outputs, hence exactly invariant, so no group average is needed."""
-    return spec.complement.project_invariant(u)
+def _constrain(spec: ProblemSpec, w: np.ndarray) -> np.ndarray:
+    """Orbit vector ``w`` without its mass mean and its removed-cluster parts."""
+    w = remove_mass_mean(w, spec.red)
+    basis = spec.orbit_basis
+    if basis.size:
+        w = w - basis @ (basis.T @ (spec.red.mass @ w))
+    return w
 
 
-def _normalize(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    nrm = norm_one_alpha(u, spec.ops, spec.norm_params)
+def _normalize(spec: ProblemSpec, w: np.ndarray) -> np.ndarray:
+    nrm = norm_one_alpha(w, spec.red, spec.norm_params)
     if nrm <= 0 or not np.isfinite(nrm):
         raise MaximizerError("vector vanishes after projection; cannot normalize")
-    return u / nrm
+    return w / nrm
 
 
 def normalized_competitor(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Projection of arbitrary vertex values to the unit sphere of the problem."""
-    return _normalize(spec, spec.complement.project(np.asarray(values, dtype=float)))
+    u = project_invariant_meanzero(np.asarray(values, dtype=float), spec.ops, spec.action)
+    return spec.red.expand(_normalize(spec, _constrain(spec, u[spec.red.reps])))
 
 
-def _seed_vector(spec: ProblemSpec, seed, rng_seed: int, solve) -> np.ndarray:
-    ops, action = spec.ops, spec.action
+def _seed_orbits(spec: ProblemSpec, seed, rng_seed: int, solve) -> np.ndarray:
+    ops, action, reps = spec.ops, spec.action, spec.red.reps
     if isinstance(seed, np.ndarray):
-        return normalized_competitor(seed, spec)
+        return normalized_competitor(seed, spec)[reps]
     if seed == "random":
         rng = np.random.default_rng(rng_seed)
-        return normalized_competitor(rng.standard_normal(ops.n), spec)
+        return normalized_competitor(rng.standard_normal(ops.n), spec)[reps]
     center = int(orbit_stats(action).min_vertices[0])
     if seed == "moser":
         r = 0.8 * cap_radius_limit(ops.mesh, action, center)
         rep = moser_evaluate(MoserSequence(center, r, 10, spec.ell), ops.mesh, action)
-        return normalized_competitor(rep.values, spec)
+        return normalized_competitor(rep.values, spec)[reps]
     if seed == "symmetric":
         # smooth non-concentrated invariant profile: shifted solve against the
         # lumped orbit indicator (a Green-type function, no plateau)
-        b = np.zeros(ops.n)
-        orbit = np.flatnonzero(action.orbit_index == action.orbit_index[center])
-        b[orbit] = 1.0 / len(orbit)
-        b -= ops.lumped / ops.mesh.total_area
-        return normalized_competitor(solve(b), spec)
+        b = -spec.red.lumped / ops.mesh.total_area
+        b[action.orbit_index[center]] += 1.0
+        return _normalize(spec, _constrain(spec, solve(b)))
     raise MaximizerError(f"unknown seed {seed!r}; use 'moser', 'symmetric', 'random', or an array")
 
 
-def _multipliers(spec: ProblemSpec, u: np.ndarray):
+def _multipliers(spec: ProblemSpec, u: np.ndarray, ops: FemOperators, basis: np.ndarray):
     """Scale-free Euler-Lagrange data at u.
 
-    Returns (rhs, shift, lam_shifted, mu_shifted, gammas) where the true
-    lambda is lam_shifted * e^shift and rhs is the multiplier-corrected load
+    Takes a vertex u with (spec.ops, spec.complement.basis) or an orbit u
+    with (spec.red, spec.orbit_basis).  Returns (rhs, shift, lam_shifted,
+    mu_shifted, gammas) where the true lambda is lam_shifted * e^shift and
+    rhs is the multiplier-corrected load
     (1/lambda) F - (mu/lambda) a - sum gamma_k M e_k, which needs no shift.
     """
-    ops = spec.ops
     a = ops.lumped
     t = spec.beta * u * u
     shift = float(t.max())
@@ -190,7 +205,6 @@ def _multipliers(spec: ProblemSpec, u: np.ndarray):
     if lam_sh <= 0:
         raise MaximizerError("degenerate iterate: int u^2 e^(beta u^2) vanished")
     mu_sh = float(np.sum(f_sh)) / ops.mesh.total_area
-    basis = spec.complement.basis
     gammas_sh = basis.T @ f_sh if basis.size else np.zeros(0)
     rhs = f_sh / lam_sh - (mu_sh / lam_sh) * a
     if basis.size:
@@ -198,10 +212,10 @@ def _multipliers(spec: ProblemSpec, u: np.ndarray):
     return rhs, shift, lam_sh, mu_sh, gammas_sh / lam_sh
 
 
-def _residual(spec: ProblemSpec, u: np.ndarray, rhs: np.ndarray, solve) -> float:
-    ops = spec.ops
-    r = ops.stiffness @ u - spec.alpha * (ops.mass @ u) - rhs
-    d = _project(spec, solve(r))
+def _residual(spec: ProblemSpec, w: np.ndarray, rhs: np.ndarray, solve) -> float:
+    red = spec.red
+    r = red.stiffness @ w - spec.alpha * (red.mass @ w) - rhs
+    d = _constrain(spec, solve(r))
     return float(np.sqrt(max(float(d @ r), 0.0)))
 
 
@@ -219,68 +233,70 @@ def solve_subcritical(
     (backtracking on the step); polish steps are accepted only when they
     shrink the dual-norm defect without losing functional value beyond
     round-off.  Non-convergence returns the best iterate flagged, never
-    raises.  ``solve`` is an ``invariant_shifted_solver`` at ``spec.alpha``
-    when the caller holds one; otherwise one is built here.
+    raises.  ``solve`` is an ``invariant_shifted_solver`` of ``spec.red`` at
+    ``spec.alpha`` when the caller holds one; otherwise one is built here.
+    The iterates are orbit vectors; the returned state holds their expansion.
     """
-    ops = spec.ops
+    ops, red = spec.ops, spec.red
     if solve is None:
-        solve = invariant_shifted_solver(orbit_reduction(ops, spec.action), spec.alpha)
-    u = _seed_vector(spec, seed, rng_seed, solve)
-    log_j = exp_functional(u, spec.beta, ops).log_value
+        solve = invariant_shifted_solver(red, spec.alpha)
+    w = _seed_orbits(spec, seed, rng_seed, solve)
+    log_j = exp_functional(w, spec.beta, red).log_value
     step = 1.0
-    best = None  # (residual, u, log_j, iteration)
-    carried = None  # (rhs, residual) of an accepted polish trial, which is the next u
+    best = None  # (residual, w, log_j, iteration)
+    carried = None  # (rhs, residual) of an accepted polish trial, which is the next w
 
     it = 0
     for it in range(1, max_iters + 1):
         if carried is None:
-            rhs = _multipliers(spec, u)[0]
-            res = _residual(spec, u, rhs, solve)
+            rhs = _multipliers(spec, w, red, spec.orbit_basis)[0]
+            res = _residual(spec, w, rhs, solve)
         else:
             (rhs, res), carried = carried, None
         if best is None or res < best[0]:
-            best = (res, u, log_j, it)
+            best = (res, w, log_j, it)
         if res <= tol:
             break
 
-        # damped fixed-point on (K - alpha M) u = rhs(u)
+        # damped fixed-point on (K - alpha M) w = rhs(w)
         moved = False
-        u_fp = _normalize(spec, _project(spec, solve(rhs)))
-        if float(u_fp @ (ops.mass @ u)) < 0:
-            u_fp = -u_fp
+        w_fp = _normalize(spec, _constrain(spec, solve(rhs)))
+        if float(w_fp @ (red.mass @ w)) < 0:
+            w_fp = -w_fp
         for theta in _POLISH_DAMPING:
-            u_try = _normalize(spec, _project(spec, u + theta * (u_fp - u)))
-            log_try = exp_functional(u_try, spec.beta, ops).log_value
+            w_try = _normalize(spec, _constrain(spec, w + theta * (w_fp - w)))
+            log_try = exp_functional(w_try, spec.beta, red).log_value
             if log_try + 64 * np.finfo(float).eps * max(1.0, abs(log_j)) < log_j:
                 continue
-            rhs_try = _multipliers(spec, u_try)[0]
-            res_try = _residual(spec, u_try, rhs_try, solve)
+            rhs_try = _multipliers(spec, w_try, red, spec.orbit_basis)[0]
+            res_try = _residual(spec, w_try, rhs_try, solve)
             if res_try < _POLISH_FACTOR * res:
-                u, log_j, moved = u_try, log_try, True
+                w, log_j, moved = w_try, log_try, True
                 carried = (rhs_try, res_try)
                 break
         if moved:
             continue
 
         # preconditioned gradient ascent with backtracking on the log value
-        t = spec.beta * u * u
-        grad = ops.lumped * u * np.exp(t - float(t.max()))
-        d = _project(spec, solve(grad))
+        t = spec.beta * w * w
+        grad = red.lumped * w * np.exp(t - float(t.max()))
+        d = _constrain(spec, solve(grad))
         accepted = False
         while step >= _STEP_MIN:
-            u_try = _normalize(spec, _project(spec, u + step * d))
-            log_try = exp_functional(u_try, spec.beta, ops).log_value
+            w_try = _normalize(spec, _constrain(spec, w + step * d))
+            log_try = exp_functional(w_try, spec.beta, red).log_value
             if log_try > log_j:
-                u, log_j, accepted = u_try, log_try, True
+                w, log_j, accepted = w_try, log_try, True
                 step = min(step * 1.5, 1e3)
                 break
             step *= 0.5
         if not accepted:
             break  # stationary to floating-point resolution
 
-    u = _normalize(spec, best[1])
-    rhs, shift, lam_sh, mu_sh, gammas = _multipliers(spec, u)
-    res = _residual(spec, u, rhs, solve)
+    w = _normalize(spec, best[1])
+    u = red.expand(w)
+    rhs, shift, lam_sh, mu_sh, gammas = _multipliers(spec, u, ops, spec.complement.basis)
+    res = _residual(spec, w, red.reduce(rhs), solve)
     val = exp_functional(u, spec.beta, ops)
     lam = lam_sh * np.exp(shift)
     if lam <= 0:

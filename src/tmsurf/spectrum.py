@@ -9,7 +9,7 @@ as an exact zero eigenvalue and is removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -19,7 +19,6 @@ from .discretization import (
     FemOperators,
     OrbitReduction,
     orbit_reduction,
-    project_invariant_meanzero,
     remove_mass_mean,
 )
 from .geometry import GroupAction
@@ -87,7 +86,7 @@ def invariant_spectrum(
         raise SpectrumError(f"count must be positive, got {count}")
     if red is None:
         red = orbit_reduction(ops, action)
-    n_orb = red.n_orbits
+    n_orb = red.n
     k_req = count + 1  # the orbit space still contains the constant mode
     if k_req > n_orb:
         raise SpectrumError(f"asked for {count} eigenpairs but only {n_orb - 1} exist")
@@ -148,48 +147,21 @@ class ComplementSpace:
     """Orthogonal complement of the first ``level - 1`` eigenvalue clusters.
 
     ``level = 1`` keeps the whole invariant mean-zero space (empty basis).
+    The basis holds invariant vertex vectors; on orbit unknowns it is
+    ``basis[OrbitReduction.reps]``, exactly, which is where the maximizer
+    projects onto the complement.
     """
 
     level: int
     basis: np.ndarray  # (n, m) mass-orthonormal removed directions
     lambda_level: float  # eigenvalue of cluster ``level`` = gap of the complement
-    ops: FemOperators = field(repr=False)
-    action: GroupAction = field(repr=False)
-
-    @property
-    def removed(self) -> int:
-        return self.basis.shape[1]
-
-    def project(self, u: np.ndarray) -> np.ndarray:
-        """Member of the complement nearest to arbitrary vertex values ``u``."""
-        return self._remove_basis(project_invariant_meanzero(u, self.ops, self.action))
-
-    def project_invariant(self, u: np.ndarray) -> np.ndarray:
-        """``project`` for a ``u`` that is already exactly invariant, such as a
-        combination of orbit-solve outputs: no group average, only the mean
-        removal and the complement correction."""
-        return self._remove_basis(remove_mass_mean(u, self.ops))
-
-    def _remove_basis(self, v: np.ndarray) -> np.ndarray:
-        if self.removed:
-            v = v - self.basis @ (self.basis.T @ (self.ops.mass @ v))
-        return v
 
 
-def complement_projector(
-    spec: InvariantSpectrum, ops: FemOperators, action: GroupAction, level: int
-) -> ComplementSpace:
-    if level < 1:
-        raise SpectrumError(f"level must be >= 1, got {level}")
-    if level > len(spec.groups):
-        raise SpectrumError(
-            f"spectrum holds {len(spec.groups)} clusters; cannot form the complement at level {level}"
-        )
+def complement_projector(spec: InvariantSpectrum, level: int) -> ComplementSpace:
+    lambda_level = spec.group_value(level)  # raises for a level outside the clusters
     m = sum(g[1] for g in spec.groups[: level - 1])
     return ComplementSpace(
         level=level,
         basis=spec.eigenvectors[:, :m].copy(),
-        lambda_level=spec.group_value(level),
-        ops=ops,
-        action=action,
+        lambda_level=lambda_level,
     )

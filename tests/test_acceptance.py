@@ -311,7 +311,7 @@ def test_criterion_09c_b_const_convergence(family_reports):
 @pytest.fixture(scope="module")
 def l4_problem(sphere4):
     s = sphere4
-    comp = complement_projector(s.spectrum, s.ops, s.action, 1)
+    comp = complement_projector(s.spectrum, 1)
     alpha = 0.25 * s.spectrum.lambda_1
     spec = ProblemSpec(s.ops, s.action, comp, alpha, epsilon_sub=2 * np.pi)
     return spec, solve_subcritical(spec, seed="moser", tol=1e-8)
@@ -360,7 +360,7 @@ def test_criterion_11_orbit_equipartition():
     mesh, action = build_sphere_mesh(5, "antipodal")
     ops = assemble(mesh)
     spec = invariant_spectrum(ops, action, 8)
-    comp = complement_projector(spec, ops, action, 1)
+    comp = complement_projector(spec, 1)
     alpha = 0.25 * spec.lambda_1
     states = []
     for eps in (2 * np.pi, np.pi, np.pi / 2):
@@ -393,7 +393,7 @@ def test_criterion_12_second_level(sphere4):
         b >= a - 1e-12 for a, b in zip(rates, rates[1:])
     )
 
-    comp = complement_projector(s.spectrum, s.ops, s.action, 2)
+    comp = complement_projector(s.spectrum, 2)
     spec = ProblemSpec(s.ops, s.action, comp, 0.25 * lam2, epsilon_sub=2 * np.pi)
     state = solve_subcritical(spec, seed="moser", tol=1e-8)
     rep = multiplier_report(state, s.ops)

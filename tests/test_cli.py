@@ -6,6 +6,9 @@ paths stay visible to the test runner.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +222,22 @@ def test_bad_group_exits_2(tmp_path):
                          "--out", str(tmp_path / "s2.off")]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"eigen_count": 0},
+    {"eigen_count": 10**6},
+    {"pipeline": ["maximize"], "maximize": {"level": 40, "epsilon_sub": 2 * np.pi}},
+    {"alpha": {"gap_fraction": 0.25, "level": 40}},
+    {"pipeline": ["sharpness"], "sharpness": {"ell": 2, "beta_grid": [22.6]}},
+    {"pipeline": ["sharpness"], "sharpness": {"ell": 2, "beta_grid": [22.6], "k_grid": []}},
+], ids=["eigen_count_0", "eigen_count_huge", "maximize_level", "alpha_level", "k_grid_missing",
+        "k_grid_empty"])
+def test_out_of_domain_value_exits_2(tmp_path, overrides):
+    # values of the right type outside their domain are input errors, not stage failures
+    cfg = _run_config(tmp_path, **overrides)
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_stage_failure_exits_3_with_partial_results(tmp_path, capsys):
     # the 24x24 torus leaves no room for the fit annulus: green stage fails
     out = tmp_path / "fail"
@@ -382,3 +401,19 @@ def test_green_and_maximize_share_one_factorization(tmp_path, monkeypatch):
 def test_compare_rejects_non_run_directory(tmp_path):
     (tmp_path / "x").mkdir()
     assert cli.main(["compare", str(tmp_path / "x"), str(tmp_path / "x")]) == 2
+
+
+def test_benchmark_traces_every_layer_function():
+    # perfbench/child.py wraps the functions it names in TRACED; a renamed or
+    # deleted one would silently empty its per-layer metric.  A subprocess,
+    # because install patches modules globally and child pins thread variables.
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        "import tmsurf.cli\n"
+        "import child\n"
+        "print(json.dumps(child.install(child.Recorder())))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []

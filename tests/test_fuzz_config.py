@@ -1,15 +1,18 @@
-"""The `tm run` config loader fed one key of the wrong JSON type.
+"""The `tm run` config loader fed one key of the wrong JSON type or value.
 
 Each example starts from a small config that exits 0 and replaces one key:
 a scalar by an object, a list or null, and a list by a number, a non-numeric
 string or null.  `tm run` must exit 0 (the stage that reads the key did not
 run) or 2 (input error, no `results.json`); exit 1 would be a traceback and
-exit 3 a stage failure blamed on the numerics.  Examples are derandomized, so
-every run checks the same configs.
+exit 3 a stage failure blamed on the numerics.  A numeric key of the sphere
+config set to NaN or +-Infinity, which `json` reads as floats, must exit 2:
+that config runs every stage.  Examples are derandomized, so every run checks
+the same configs.
 """
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import tempfile
@@ -67,6 +70,13 @@ CASES = [
     for name, path in KEYS
     for wrong in (WRONG_LIST if path[-1] in LISTS else WRONG_SCALAR)
 ]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+NUMERIC_KEYS = [
+    path for name, path in KEYS
+    if name == "sphere"
+    and (path[-1] in LISTS or isinstance(functools.reduce(dict.get, path, SPHERE), (int, float)))
+]
+NUMERIC_CASES = [(path, [bad] if path[-1] in LISTS else bad) for path in NUMERIC_KEYS for bad in NON_FINITE]
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +129,16 @@ def test_wrong_key_type_exits_0_or_2(off_dir, case):
     assert code in (0, 2), (path, wrong, code)
     if code == 2:
         assert not wrote_results, (path, wrong)
+
+
+@FUZZ
+@given(case=st.sampled_from(NUMERIC_CASES))
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_non_finite_number_exits_2(off_dir, case):
+    path, bad = case
+    cfg = _base("sphere", off_dir)
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = bad
+    assert _run(cfg) == (2, False), (path, bad)

@@ -6,12 +6,14 @@ functional is Vol + beta/(lambda_1 - alpha) + O(beta^2), with the maximizer
 inside the first invariant eigencluster.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-from tmsurf import maximizer
-from tmsurf.constructions import BubbleProfile
-from tmsurf.discretization import norm_one_alpha, quadratic_form_sq
+from tmsurf import discretization
+from tmsurf.constructions import BubbleProfile, green_solve
+from tmsurf.discretization import NormParams, norm_one_alpha, quadratic_form_sq
 from tmsurf.geometry import geodesic_distance, orbit_stats
 from tmsurf.maximizer import (
     MaximizerError,
@@ -25,11 +27,11 @@ from tmsurf.maximizer import (
     solve_subcritical,
 )
 from tmsurf.constructions.radial import RadialModel
-from tmsurf.spectrum import complement_projector
+from tmsurf.spectrum import complement_projector, rayleigh_quotient
 
 
 def _spec(s, epsilon_sub, level=1, alpha_frac=0.25):
-    comp = complement_projector(s.spectrum, s.ops, s.action, level)
+    comp = complement_projector(s.spectrum, level)
     alpha = alpha_frac * comp.lambda_level
     return ProblemSpec(
         ops=s.ops, action=s.action, complement=comp, alpha=alpha, epsilon_sub=epsilon_sub
@@ -126,25 +128,45 @@ def test_solver_deterministic(sphere3, moderate_state):
 
 
 @pytest.mark.parametrize("setup", ["sphere3", "sphere3_dihedral4"])
-def test_iterates_stay_exactly_invariant(request, monkeypatch, setup):
-    # the loop projects its iterates without a group average; that is sound only
-    # if every normalized vector it forms is bitwise invariant, including at
-    # level 2, where the complement correction mixes in eigenvectors; a random
-    # seed is the one input that needs the group average
+def test_returned_state_exactly_invariant(request, setup):
+    # the loop runs on orbit unknowns; at level 2 the complement correction
+    # mixes in eigenvectors, and a random seed is the least invariant input
     s = request.getfixturevalue(setup)
-    seen = []
-    normalize = maximizer._normalize
-
-    def recording(spec, u):
-        seen.append(normalize(spec, u))
-        return seen[-1]
-
-    monkeypatch.setattr(maximizer, "_normalize", recording)
     state = solve_subcritical(_spec(s, epsilon_sub=2 * np.pi, level=2, alpha_frac=0.05), "random")
     assert state.converged
-    assert len(seen) > state.iterations
-    for u in seen:
-        assert np.array_equal(u[s.action.permutations], np.broadcast_to(u, s.action.permutations.shape))
+    u = state.u
+    assert np.array_equal(u[s.action.permutations], np.broadcast_to(u, s.action.permutations.shape))
+
+
+@pytest.fixture
+def group_sorts(monkeypatch):
+    """Calls of project_invariant_meanzero, through every module that binds it."""
+    calls = []
+    orig = discretization.project_invariant_meanzero
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "tmsurf" and getattr(mod, "project_invariant_meanzero", None) is orig:
+            monkeypatch.setattr(mod, "project_invariant_meanzero", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", ["moser", "random", "array", "symmetric"])
+def test_group_sort_only_on_vertex_seed(sphere3, group_sorts, seed):
+    # one group sort projects a vertex seed; none runs in the loop or the Green solve
+    spec = _spec(sphere3, epsilon_sub=2 * np.pi)
+    sorts = 0 if seed == "symmetric" else 1
+    if seed == "array":
+        seed = np.random.default_rng(3).standard_normal(sphere3.ops.n)
+    state = solve_subcritical(spec, seed)
+    assert state.converged and state.iterations > 1
+    assert len(group_sorts) == sorts
+    params = NormParams(alpha=spec.alpha, lambda_gap=sphere3.spectrum.lambda_1)
+    green_solve(sphere3.ops, sphere3.action, 0, params, red=spec.red)
+    assert len(group_sorts) == sorts
 
 
 def test_unknown_seed_rejected(sphere3):
@@ -163,6 +185,20 @@ def test_normalized_competitor(sphere3, moderate_state, rng):
 
 
 # ---------------------------------------------------------------- second level
+
+
+def test_normalized_competitor_second_level(sphere3, rng):
+    # alpha just below the level-2 gap is admissible on the complement
+    spec = _spec(sphere3, epsilon_sub=2 * np.pi, level=2, alpha_frac=0.9)
+    ops, removed = sphere3.ops, spec.complement.basis
+    values = rng.standard_normal(ops.n)
+    v = normalized_competitor(values, spec)
+    assert norm_one_alpha(v, ops, spec.norm_params) == pytest.approx(1.0, abs=1e-10)
+    assert abs(ops.lumped @ v) < 1e-10
+    assert np.max(np.abs(removed.T @ (ops.mass @ v))) < 1e-10
+    assert rayleigh_quotient(v, ops) > spec.complement.lambda_level * (1 - 1e-8)
+    # components along the removed cluster are annihilated
+    np.testing.assert_allclose(normalized_competitor(values + removed.sum(axis=1), spec), v, atol=1e-10)
 
 
 def test_second_level_multipliers(sphere3):
