@@ -13,28 +13,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .constructions.bubble import BubbleProfile
 from .constructions.family import EPS_MAX, build_test_family, test_family_lower_bound
 from .constructions.green import (
     GreenDecomposition,
     extract_A,
     green_l2_norm_sq,
     green_solve,
-    invariant_shifted_solver,
     richardson_pair,
     upper_bound_value,
 )
 from .constructions.radial import radial_model, surface_model
-from .discretization import FemOperators, NormParams, OrbitReduction, assemble, orbit_reduction
+from .discretization import NormParams, OrbitReduction, assemble, orbit_reduction
 from .geometry import (
     GroupAction,
     SurfaceMesh,
@@ -119,23 +115,6 @@ def _mesh_hash(mesh) -> str:
     return hashlib.sha256(mesh.vertices.tobytes() + mesh.triangles.tobytes()).hexdigest()
 
 
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _sweep(fn, items):
-    """Order-preserving map, fanned out over TM_THREADS when it exceeds one."""
-    items = list(items)
-    n = _n_threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # payloads
 
@@ -168,7 +147,7 @@ def _green_payload(dec, with_values: bool = True) -> dict:
 
 _MARGIN_COLUMNS = (
     "eps", "margin", "value", "log_value", "bound", "bound_log",
-    "tether", "margin_log_eps", "b_const", "c_sq",
+    "tether", "margin_c_sq", "b_const", "c_sq",
 )
 
 
@@ -182,7 +161,7 @@ def _report_payload(rep) -> dict:
         "margin": rep.margin,
         "tether": rep.tether,
         "tether_ratio": rep.tether_ratio,
-        "margin_log_eps": rep.margin_log_eps,
+        "margin_c_sq": rep.margin_c_sq,
         "b_const": rep.b_const,
         "c_sq": rep.c_sq,
         "mbar_c": rep.mbar_c,
@@ -229,29 +208,16 @@ class Context:
     outputs: list = field(default_factory=list)
     mesh: SurfaceMesh | None = None
     action: GroupAction | None = None
-    ops: FemOperators | None = None
-    red: OrbitReduction | None = None  # built once, shared by spectrum, green and maximize
+    red: OrbitReduction | None = None  # the orbit space, shared by spectrum, green and maximize
     spec: InvariantSpectrum | None = None
     dec: GreenDecomposition | None = None
     state: MaximizerState | None = None
-    solver: tuple | None = None  # (alpha, solve): the one factorization held, see shifted_solver
 
     def export(self, name: str, write) -> None:
         """Let ``write`` put the per-stage file ``name`` into the run directory."""
         if self.out is not None:
             write(self.out / name)
             self.outputs.append(name)
-
-    def shifted_solver(self, alpha: float):
-        """The solver of (K - alpha M) on orbit unknowns, factored once per alpha.
-
-        A new alpha releases the previous factorization before building its own;
-        ``run_stages`` releases the last one when no stage left needs it.
-        """
-        if self.solver is None or self.solver[0] != alpha:
-            self.solver = None
-            self.solver = (alpha, invariant_shifted_solver(self.red, alpha))
-        return self.solver[1]
 
 
 def _number(value, name: str, kind=float):
@@ -336,13 +302,12 @@ def _stage_mesh(ctx: Context) -> None:
 
 
 def _stage_spectrum(ctx: Context) -> None:
-    ctx.ops = assemble(ctx.mesh)
-    ctx.red = orbit_reduction(ctx.ops, ctx.action)
+    ctx.red = orbit_reduction(assemble(ctx.mesh), ctx.action)
     count = _number(ctx.cfg.get("eigen_count", 8), "eigen_count", int)
     if not 1 <= count < ctx.red.n:
         raise ConfigError(f"config 'eigen_count' {count} outside 1..{ctx.red.n - 1}, the invariant modes")
     seed = _number(ctx.cfg.get("rng_seed", 0), "rng_seed", int)
-    ctx.spec = invariant_spectrum(ctx.ops, ctx.action, count, seed=seed, red=ctx.red)
+    ctx.spec = invariant_spectrum(ctx.red, count, seed=seed)
     ctx.results["spectrum"] = _spectrum_payload(ctx.spec)
 
 
@@ -357,7 +322,7 @@ def _stage_green(ctx: Context) -> None:
     source = _number(source, "source", int)
     if not 0 <= source < ctx.mesh.n_vertices:
         raise ConfigError(f"green source {source} is not a vertex index (0..{ctx.mesh.n_vertices - 1})")
-    ctx.dec = green_solve(ctx.ops, ctx.action, source, params, ctx.red, ctx.shifted_solver(alpha))
+    ctx.dec = green_solve(ctx.red, source, params)
     extract_A(ctx.dec)
     green_l2_norm_sq(ctx.dec)
     bound = upper_bound_value(ctx.dec)
@@ -372,12 +337,10 @@ def _stage_bounds(ctx: Context) -> None:
     outside = [e for e in epsilons if not 0.0 < e < EPS_MAX]
     if outside:
         raise ConfigError(f"eps {outside} outside (0, {EPS_MAX})")
-
-    def one(eps):
-        fam = build_test_family(ctx.dec, eps, n_quad=n_quad)
-        return _report_payload(test_family_lower_bound(fam, n_quad=n_quad))
-
-    reports = ctx.results["bounds"] = _sweep(one, epsilons)
+    families = (build_test_family(ctx.dec, eps, n_quad=n_quad) for eps in epsilons)
+    reports = ctx.results["bounds"] = [
+        _report_payload(test_family_lower_bound(fam, n_quad=n_quad)) for fam in families
+    ]
     ctx.export("margins.csv", lambda path: _write_margins(path, reports))
 
 
@@ -390,7 +353,7 @@ def _stage_maximize(ctx: Context) -> None:
     level = _cluster_level(mcfg.get("level", 1), ctx.spec)
     comp = complement_projector(ctx.spec, level)
     alpha = _resolve_alpha(mcfg.get("alpha", ctx.cfg.get("alpha", 0.0)), ctx.spec)
-    problem = ProblemSpec(ctx.ops, ctx.action, comp, alpha, eps_sub, red=ctx.red)
+    problem = ProblemSpec(ctx.red, comp, alpha, eps_sub)
     seed = mcfg.get("seed", "moser")
     if isinstance(seed, list):
         seed = np.asarray(_numbers(seed, "seed"))
@@ -402,9 +365,8 @@ def _stage_maximize(ctx: Context) -> None:
         max_iters=_number(mcfg.get("max_iters", 400), "max_iters", int),
         tol=_number(mcfg.get("tol", 1e-8), "tol"),
         rng_seed=_number(ctx.cfg.get("rng_seed", 0), "rng_seed", int),
-        solve=ctx.shifted_solver(alpha),
     )
-    rep = multiplier_report(state, ctx.ops)
+    rep = multiplier_report(state)
     ctx.results["maximize"] = _state_payload(state, with_vector=False)
     ctx.results["maximize"]["multiplier_checks"] = {
         "residual_u": rep.residual_u,
@@ -422,9 +384,6 @@ def _stage_diagnostics(ctx: Context) -> None:
     dcfg = ctx.cfg.get("diagnostics", {})
     diag = blowup_diagnostics(
         ctx.state,
-        ctx.mesh,
-        ctx.action,
-        BubbleProfile(ctx.action.min_orbit_size),
         _numbers(dcfg.get("radii", (0.1, 0.2, 0.4)), "radii"),
         c_threshold=_number(dcfg.get("c_threshold", 3.0), "c_threshold"),
     )
@@ -463,7 +422,7 @@ def _stage_sharpness(ctx: Context) -> None:
     )
 
 
-# Stages that solve with ctx.shifted_solver; the factorization is dropped after the last.
+# Stages that solve with the factorization ctx.red holds; it is dropped after the last.
 _SOLVER_STAGES = {"green", "maximize"}
 
 # Stage name -> (function, stages it needs), in execution order.
@@ -497,8 +456,8 @@ def run_stages(ctx: Context, wanted) -> Context:
         except Exception as exc:
             raise StageError(name, exc) from exc
         needed.discard(name)
-        if not needed & _SOLVER_STAGES:
-            ctx.solver = None  # no stage left needs the factorization
+        if ctx.red is not None and not needed & _SOLVER_STAGES:
+            ctx.red.held = None  # no stage left needs the factorization
     return ctx
 
 

@@ -216,7 +216,7 @@ class LowerBoundReport:
     bound: UpperBound
     margin: float
     tether: float  # 4*pi*ell*|G|_2^2 / c^2, the paper's lower bound on the margin
-    margin_log_eps: float  # margin * (-log eps)
+    margin_c_sq: float  # margin * c^2 -> 4*pi*ell*|G|_2^2 + e^(1+4*pi*ell*A)/4
     b_const: float
     c_sq: float
     mbar_c: float
@@ -293,7 +293,7 @@ def test_family_lower_bound(fam: TestFunctionFamily, n_quad: int = 400) -> Lower
         bound=bound,
         margin=margin,
         tether=float(tether),
-        margin_log_eps=float(margin * fam.R),
+        margin_c_sq=float(margin * fam.c_sq),
         b_const=fam.b_const,
         c_sq=fam.c_sq,
         mbar_c=fam.mbar_c,

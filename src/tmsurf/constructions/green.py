@@ -17,13 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .._sums import sorted_sum
-from ..discretization import (
-    FemOperators,
-    NormParams,
-    OrbitReduction,
-    orbit_reduction,
-    remove_mass_mean,
-)
+from ..discretization import FemOperators, NormParams, OrbitReduction, remove_mass_mean
 from ..geometry import GroupAction, geodesic_distance, max_radius, mean_edge_length
 from .radial import RadialModel, radial_integral, radial_model
 
@@ -55,7 +49,7 @@ def invariant_shifted_solver(red: OrbitReduction, alpha: float) -> Callable[[np.
     For alpha = 0 the operator is singular along constants; the factorization
     then carries a mean-zero multiplier row, which leaves balanced loads
     (sum b = 0) unchanged. The factorization lives as long as the returned
-    solver, which callers share for one alpha and then drop.
+    solver; ``OrbitReduction.shifted_solver`` holds one per alpha.
     """
     shifted = (red.stiffness - alpha * red.mass).tocsc()
     if alpha == 0.0:
@@ -98,22 +92,10 @@ class GreenDecomposition:
         return -np.log(rho) / (2.0 * np.pi * self.ell) + self.a_const
 
 
-def green_solve(
-    ops: FemOperators,
-    action: GroupAction,
-    source: int,
-    params: NormParams,
-    red: OrbitReduction | None = None,
-    solve: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> GreenDecomposition:
-    """Solve the orbit-source Green problem and package the decomposition.
-
-    ``red`` is the orbit reduction of (ops, action) and ``solve`` an
-    ``invariant_shifted_solver`` of it at ``params.alpha`` when the caller
-    holds them; otherwise they are built here.
-    """
-    n = ops.n
-    if not 0 <= source < n:
+def green_solve(red: OrbitReduction, source: int, params: NormParams) -> GreenDecomposition:
+    """Solve the orbit-source Green problem with the factorization ``red`` holds."""
+    ops, action = red.ops, red.action
+    if not 0 <= source < ops.n:
         raise GreenError(f"source vertex {source} out of range")
     orbit = np.flatnonzero(action.orbit_index == action.orbit_index[source])
     ell = len(orbit)
@@ -125,15 +107,11 @@ def green_solve(
         )
     b = -ops.lumped / ops.mesh.total_area
     b[orbit] += 1.0 / ell
-    if red is None:
-        red = orbit_reduction(ops, action)
-    if solve is None:
-        solve = invariant_shifted_solver(red, params.alpha)
-    g = remove_mass_mean(red.expand(solve(red.reduce(b))), ops)
+    g = remove_mass_mean(red.expand(red.shifted_solver(params.alpha)(red.reduce(b))), ops)
     res = np.linalg.norm(ops.stiffness @ g - params.alpha * (ops.mass @ g) - b)
     if res > _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b))):
         raise GreenError(f"Green solve residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e}")
-    fields = [geodesic_distance(ops.mesh, int(p)).distances for p in orbit]
+    fields = [geodesic_distance(ops.mesh, int(p)) for p in orbit]
     dist_orbit = np.min(np.stack(fields), axis=0)
     dist_source = fields[int(np.flatnonzero(orbit == source)[0])]
     return GreenDecomposition(

@@ -78,7 +78,7 @@ def min_orbit_separation(mesh: SurfaceMesh, action: GroupAction, center: int) ->
         return 2.0 * max_radius(mesh)
     best = np.inf
     for p in orbit:
-        d = geodesic_distance(mesh, int(p)).distances[orbit]
+        d = geodesic_distance(mesh, int(p))[orbit]
         best = min(best, float(np.min(d[d > 0])))
     return best
 
@@ -120,7 +120,7 @@ def moser_evaluate(
             "(quarter of the minimal orbit separation)"
         )
     per_point = np.stack(
-        [_profile(geodesic_distance(mesh, int(p)).distances, seq.radius, seq.k) for p in orbit]
+        [_profile(geodesic_distance(mesh, int(p)), seq.radius, seq.k) for p in orbit]
     )
     # caps are disjoint, so at most one row is nonzero per vertex; the sorted
     # reduction keeps the samples bitwise equal across group images

@@ -130,15 +130,21 @@ def assemble(mesh: SurfaceMesh) -> FemOperators:
 
 @dataclass(eq=False)
 class OrbitReduction(FemOperators):
-    """The operators on invariant vectors u = S w, one unknown w per orbit.
+    """The orbit space: operators on invariant vectors u = S w, one unknown w per orbit.
 
     S^T K S, S^T M S and the orbit areas S^T a take the places of K, M and a,
     so ``quadratic_form_sq``, ``norm_one_alpha``, ``exp_functional`` and
-    ``remove_mass_mean`` take w in place of u.
+    ``remove_mass_mean`` take w in place of u.  It keeps the vertex operators
+    ``ops`` and the ``action`` it was reduced from, and at most one
+    factorization of K_r - alpha M_r (see ``shifted_solver``), which the
+    spectrum, Green and maximizer layers share.
     """
 
     S: sp.csr_matrix  # (n, n_orbits) orbit indicator
     reps: np.ndarray  # first vertex of each orbit; u[reps] is exact for invariant u
+    ops: FemOperators
+    action: GroupAction
+    held: tuple | None = None  # (alpha, solve) of the one factorization kept
 
     @property
     def n(self) -> int:
@@ -150,6 +156,19 @@ class OrbitReduction(FemOperators):
     def reduce(self, b: np.ndarray) -> np.ndarray:
         return self.S.T @ b
 
+    def shifted_solver(self, alpha: float):
+        """The solver of (K_r - alpha M_r) w = b, factored once per alpha.
+
+        A new alpha releases the held factorization before building its own;
+        setting ``held`` to None releases it when no caller needs it any more.
+        """
+        if self.held is None or self.held[0] != alpha:
+            self.held = None
+            from .constructions import green  # green imports this module
+
+            self.held = (alpha, green.invariant_shifted_solver(self, alpha))
+        return self.held[1]
+
 
 def orbit_reduction(ops: FemOperators, action: GroupAction) -> OrbitReduction:
     """Reduced operators of ``ops`` on the orbits of ``action``; build it once per run."""
@@ -160,7 +179,7 @@ def orbit_reduction(ops: FemOperators, action: GroupAction) -> OrbitReduction:
     M_red = (S.T @ ops.mass @ S).tocsr()
     reps = np.unique(action.orbit_index, return_index=True)[1]
     return OrbitReduction(mesh=ops.mesh, stiffness=K_red, mass=M_red, lumped=S.T @ ops.lumped,
-                          S=S, reps=reps)
+                          S=S, reps=reps, ops=ops, action=action)
 
 
 def project_invariant_meanzero(u: np.ndarray, ops: FemOperators, action: GroupAction) -> np.ndarray:

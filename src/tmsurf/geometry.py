@@ -26,7 +26,6 @@ __all__ = [
     "UnsupportedOperation",
     "SurfaceMesh",
     "GroupAction",
-    "GeodesicField",
     "OrbitStats",
     "build_sphere_mesh",
     "build_flat_torus_mesh",
@@ -121,14 +120,6 @@ class OrbitStats:
     min_size: int
     min_vertices: np.ndarray  # vertices lying on some minimal orbit
     histogram: dict  # orbit size -> number of orbits of that size
-
-
-@dataclass(eq=False)
-class GeodesicField:
-    """Geodesic distances from a source vertex."""
-
-    source: int
-    distances: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +392,52 @@ def _check_triangle_equivariance(tris: np.ndarray, perms: np.ndarray, name: str)
             raise GroupError(f"group {name!r} does not preserve the triangle set")
 
 
+# Relative tolerance on squared edge lengths for an imported permutation to
+# count as an isometry.  Built meshes and their OFF exports match bitwise;
+# this leaves room for files written with fewer digits.
+_ISOMETRY_RTOL = 1e-9
+
+
+def _edge_sq(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Squared lengths of the edges (u[i], v[i]), across the seam on tori."""
+    sq = np.zeros(len(u))
+    if mesh.surface_kind == "torus":
+        for k, n in enumerate(mesh.grid_shape):
+            col = mesh.grid_index[:, k]
+            d = np.abs(col[v] - col[u])
+            sq += (np.minimum(d, n - d) * (mesh.periods[k] / n)) ** 2
+    else:
+        for col in mesh.vertices.T:
+            sq += (col[v] - col[u]) ** 2
+    return sq
+
+
 def check_group_action(mesh: SurfaceMesh, action: GroupAction) -> None:
-    """Require distinct rows with the identity, closed under composition and
-    preserving the triangle set; otherwise orbits and order are wrong."""
+    """Require distinct rows with the identity, closed under composition,
+    preserving the triangle set and every edge length; otherwise orbits and
+    order are wrong, or the group is not an isometry group."""
     perms = action.permutations
     rows = {p.tobytes() for p in perms}
     if len(rows) != len(perms):
         raise GroupError(f"group {action.name!r} repeats a permutation")
-    if np.arange(perms.shape[1], dtype=perms.dtype).tobytes() not in rows:
+    identity = np.arange(perms.shape[1], dtype=perms.dtype).tobytes()
+    if identity not in rows:
         raise GroupError(f"group {action.name!r} has no identity permutation")
     for p in perms:
         if any(p[q].tobytes() not in rows for q in perms):
             raise GroupError(f"group {action.name!r} is not closed under composition")
     _check_triangle_equivariance(mesh.triangles, perms, action.name)
+    u, v = mesh.triangles.ravel(), np.roll(mesh.triangles, -1, axis=1).ravel()  # every side
+    sq = _edge_sq(mesh, u, v)
+    for p in perms:
+        if p.tobytes() == identity:
+            continue
+        mismatch = float(np.max(np.abs(_edge_sq(mesh, p[u], p[v]) - sq) / sq))
+        if mismatch > _ISOMETRY_RTOL:
+            raise GroupError(
+                f"group {action.name!r} is not an isometry: a squared edge length "
+                f"changes by {mismatch:.3g} (relative) under one of its permutations"
+            )
 
 
 def _sphere_action(mesh: SurfaceMesh, group_kind: str) -> GroupAction:
@@ -502,24 +526,14 @@ def build_flat_torus_mesh(
     nx: int,
     ny: int,
     periods: tuple[float, float] = (1.0, 1.0),
-    group_kind: str | None = None,
-    translations: list[tuple[int, int]] | None = None,
+    group_kind: str = "trivial",
 ) -> tuple[SurfaceMesh, GroupAction]:
     """Uniform grid triangulation of the flat torus R^2 / (aZ x bZ).
 
-    The translation group is given either as ``translations`` (list of integer
-    grid shifts) or as ``group_kind`` ('trivial' or '+'-joined 'shift(a,b)').
+    The translation group is ``group_kind``: 'trivial' or '+'-joined 'shift(a,b)'.
     """
     if nx < 3 or ny < 3:
         raise MeshError(f"grid {nx}x{ny} too small to triangulate a torus")
-    if group_kind is not None and translations is not None:
-        raise GroupError("pass either group_kind or translations, not both")
-    if translations is not None:
-        gens = [(int(a), int(b)) for a, b in translations]
-        name = "+".join(f"shift({a},{b})" for a, b in gens) or "trivial"
-    else:
-        name = group_kind or "trivial"
-        gens = _parse_torus_group(name)
     a, b = float(periods[0]), float(periods[1])
     if not (a > 0 and b > 0):
         raise MeshError(f"invalid periods {periods}")
@@ -534,7 +548,7 @@ def build_flat_torus_mesh(
     mesh = _finish_mesh(
         verts, tris, "torus", grid_shape=(nx, ny), periods=(a, b), grid_index=gi
     )
-    return mesh, _torus_action(mesh, gens, name)
+    return mesh, _torus_action(mesh, _parse_torus_group(group_kind), group_kind)
 
 
 def group_action(mesh: SurfaceMesh, group_kind: str = "trivial") -> GroupAction:
@@ -568,14 +582,13 @@ def orbit_stats(action: GroupAction) -> OrbitStats:
     )
 
 
-def geodesic_distance(mesh: SurfaceMesh, source: int) -> GeodesicField:
+def geodesic_distance(mesh: SurfaceMesh, source: int) -> np.ndarray:
     """Closed-form geodesic distances from a source vertex to all vertices."""
     if not 0 <= source < mesh.n_vertices:
         raise MeshError(f"source vertex {source} out of range")
     if mesh.surface_kind == "sphere":
         cosang = np.clip(sorted_dot(mesh.vertices, mesh.vertices[source]), -1.0, 1.0)
-        dist = np.arccos(cosang)
-        return GeodesicField(source, dist)
+        return np.arccos(cosang)
     if mesh.surface_kind == "torus":
         nx, ny = mesh.grid_shape
         a, b = mesh.periods
@@ -587,8 +600,7 @@ def geodesic_distance(mesh: SurfaceMesh, source: int) -> GeodesicField:
         dx = di * (a / nx)
         dy = dj * (b / ny)
         sq = np.sort(np.stack([dx * dx, dy * dy], axis=1), axis=1)
-        dist = np.sqrt(sq[:, 0] + sq[:, 1])
-        return GeodesicField(source, dist)
+        return np.sqrt(sq[:, 0] + sq[:, 1])
     raise UnsupportedOperation(f"geodesic distances undefined for surface kind {mesh.surface_kind!r}")
 
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from ._sums import sorted_sum
 from .constructions.bubble import BubbleProfile
-from .constructions.green import invariant_shifted_solver
 from .constructions.moser import (
     MoserSequence,
     cap_radius_limit,
@@ -39,7 +38,6 @@ from .discretization import (
     OrbitReduction,
     exp_functional,
     norm_one_alpha,
-    orbit_reduction,
     project_invariant_meanzero,
     quadratic_form_sq,
     remove_mass_mean,
@@ -86,15 +84,13 @@ class ProblemSpec:
 
     ``complement`` carries the working subspace (level 1 removes nothing) and
     the eigenvalue gap that ``alpha`` must stay below.  The solver iterates on
-    the orbits of ``red``, built from (ops, action) when not given.
+    the orbits of ``red`` with the factorization it holds at ``alpha``.
     """
 
-    ops: FemOperators
-    action: GroupAction
+    red: OrbitReduction
     complement: ComplementSpace
     alpha: float
     epsilon_sub: float
-    red: OrbitReduction | None = None
     orbit_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -108,9 +104,15 @@ class ProblemSpec:
                 f"alpha={self.alpha} is not below the level-{self.complement.level} "
                 f"gap {self.complement.lambda_level:.6g}"
             )
-        if self.red is None:
-            self.red = orbit_reduction(self.ops, self.action)
         self.orbit_basis = self.complement.basis[self.red.reps]
+
+    @property
+    def ops(self) -> FemOperators:
+        return self.red.ops
+
+    @property
+    def action(self) -> GroupAction:
+        return self.red.action
 
     @property
     def ell(self) -> int:
@@ -225,7 +227,6 @@ def solve_subcritical(
     max_iters: int = 400,
     tol: float = _DEFAULT_TOL,
     rng_seed: int = 0,
-    solve=None,
 ) -> MaximizerState:
     """Projected-ascent maximizer with Euler-Lagrange fixed-point polish.
 
@@ -233,13 +234,12 @@ def solve_subcritical(
     (backtracking on the step); polish steps are accepted only when they
     shrink the dual-norm defect without losing functional value beyond
     round-off.  Non-convergence returns the best iterate flagged, never
-    raises.  ``solve`` is an ``invariant_shifted_solver`` of ``spec.red`` at
-    ``spec.alpha`` when the caller holds one; otherwise one is built here.
-    The iterates are orbit vectors; the returned state holds their expansion.
+    raises.  The iterates are orbit vectors, solved with the factorization
+    ``spec.red`` holds at ``spec.alpha``; the returned state holds their
+    expansion.
     """
     ops, red = spec.ops, spec.red
-    if solve is None:
-        solve = invariant_shifted_solver(red, spec.alpha)
+    solve = red.shifted_solver(spec.alpha)
     w = _seed_orbits(spec, seed, rng_seed, solve)
     log_j = exp_functional(w, spec.beta, red).log_value
     step = 1.0
@@ -339,9 +339,17 @@ class MultiplierReport:
     residual_gammas: np.ndarray  # testing with each removed e_k
 
 
-def multiplier_report(state: MaximizerState, ops: FemOperators) -> MultiplierReport:
-    """Multipliers recomputed from quadrature, checked against the weak form."""
+def multiplier_report(state: MaximizerState) -> MultiplierReport:
+    """Multipliers recomputed from quadrature, checked against the weak form.
+
+    The identities check feasibility, not stationarity: testing the equation
+    with u reduces to |u|_(1,alpha) = 1 and mean zero, testing with 1 to mean
+    zero and the definition of mu, and testing with a removed e_k to
+    orthogonality, so any feasible u passes them.  ``state.residual``, the
+    Euler-Lagrange defect in the dual norm, is the stationarity measure.
+    """
     spec = state.spec
+    ops = spec.ops
     u = state.u
     a = ops.lumped
     t = spec.beta * u * u
@@ -412,9 +420,6 @@ class BlowupDiagnostics:
 
 def blowup_diagnostics(
     state: MaximizerState,
-    mesh: SurfaceMesh,
-    action: GroupAction,
-    bubble: BubbleProfile,
     radii,
     c_threshold: float = 3.0,
     profile_span: float = 5.0,
@@ -425,9 +430,11 @@ def blowup_diagnostics(
     ball energies sum full triangles whose vertices all lie inside, in sorted
     order, so orbit-image balls report bitwise-equal numbers.  The rescaled
     profile c (u - c) on the disk of radius ``profile_span`` in blow-up
-    coordinates is compared to the bubble when the scale is resolvable.
+    coordinates is compared to the bubble ``BubbleProfile(ell)`` when the
+    scale is resolvable.
     """
     spec = state.spec
+    mesh, action = spec.ops.mesh, spec.action
     if state.c_eps < c_threshold:
         raise MaximizerError(
             f"c_eps = {state.c_eps:.4g} below the blow-up threshold {c_threshold}; "
@@ -447,7 +454,7 @@ def blowup_diagnostics(
     tri = mesh.triangles
     local = np.empty((len(orbit), len(radii)))
     for i, p in enumerate(orbit):
-        dist = geodesic_distance(mesh, int(p)).distances
+        dist = geodesic_distance(mesh, int(p))
         tri_dist = dist[tri].max(axis=1)
         for j, r in enumerate(radii):
             local[i, j] = sorted_sum(e_tri[tri_dist <= r])
@@ -459,7 +466,7 @@ def blowup_diagnostics(
     n_pts = 0
     resolution_warning = r_eps < h
     if not resolution_warning:
-        dist = geodesic_distance(mesh, state.x_eps).distances
+        dist = geodesic_distance(mesh, state.x_eps)
         inside = dist <= profile_span * r_eps
         n_pts = int(np.count_nonzero(inside))
         if n_pts < 8:
@@ -467,7 +474,7 @@ def blowup_diagnostics(
         else:
             y = dist[inside] / r_eps
             rescaled = state.c_eps * (state.u[inside] - state.c_eps)
-            profile_error = float(np.max(np.abs(rescaled - bubble(y))))
+            profile_error = float(np.max(np.abs(rescaled - BubbleProfile(ell)(y))))
     if resolution_warning:
         warnings.warn(
             f"blow-up scale r_eps = {r_eps:.3e} is at or below the mesh resolution "
@@ -520,7 +527,6 @@ def sharpness_probe(model, ell: int, beta_grid, k_grid, r: float = 0.05,
 
 def alpha_failure_probe(
     ops: FemOperators,
-    action: GroupAction,
     eigvec: np.ndarray,
     alpha: float,
     t_grid,

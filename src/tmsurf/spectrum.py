@@ -15,13 +15,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .discretization import (
-    FemOperators,
-    OrbitReduction,
-    orbit_reduction,
-    remove_mass_mean,
-)
-from .geometry import GroupAction
+from .discretization import FemOperators, OrbitReduction, remove_mass_mean
 
 __all__ = [
     "SpectrumError",
@@ -71,21 +65,10 @@ def _group_eigenvalues(values: np.ndarray) -> list:
     return [(float(g[0]), len(g)) for g in groups]
 
 
-def invariant_spectrum(
-    ops: FemOperators,
-    action: GroupAction,
-    count: int,
-    seed: int = 0,
-    red: OrbitReduction | None = None,
-) -> InvariantSpectrum:
-    """First ``count`` invariant mean-zero eigenpairs, ascending.
-
-    ``red`` is the orbit reduction of (ops, action) when the caller holds one.
-    """
+def invariant_spectrum(red: OrbitReduction, count: int, seed: int = 0) -> InvariantSpectrum:
+    """First ``count`` invariant mean-zero eigenpairs on the orbit space ``red``, ascending."""
     if count < 1:
         raise SpectrumError(f"count must be positive, got {count}")
-    if red is None:
-        red = orbit_reduction(ops, action)
     n_orb = red.n
     k_req = count + 1  # the orbit space still contains the constant mode
     if k_req > n_orb:
@@ -110,8 +93,8 @@ def invariant_spectrum(
         raise SpectrumError(f"constant mode not found, first eigenvalue {vals[0]:.3e}")
     vals, vecs = vals[1:], vecs[:, 1:]
 
-    n = ops.n
-    eigvecs = np.empty((n, count))
+    ops = red.ops
+    eigvecs = np.empty((ops.n, count))
     residuals = np.empty(count)
     for i in range(count):
         u = remove_mass_mean(red.expand(vecs[:, i]), ops)

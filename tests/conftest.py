@@ -1,7 +1,8 @@
-"""Shared meshes and operators, built once per session.
+"""Shared meshes and orbit spaces, built once per session.
 
 The level-4/5 spheres also back the acceptance tests, so building them here
-keeps the whole suite to a handful of eigensolves and factorizations.
+keeps the whole suite to a handful of eigensolves and factorizations.  Each
+fixture's orbit reduction is built once and passed to the solver layers.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tmsurf.discretization import FemOperators, assemble
+from tmsurf.discretization import FemOperators, OrbitReduction, assemble, orbit_reduction
 from tmsurf.geometry import GroupAction, SurfaceMesh, build_flat_torus_mesh, build_sphere_mesh
 from tmsurf.spectrum import InvariantSpectrum, invariant_spectrum
 
@@ -20,14 +21,18 @@ from tmsurf.spectrum import InvariantSpectrum, invariant_spectrum
 class Setup:
     mesh: SurfaceMesh
     action: GroupAction
-    ops: FemOperators
+    red: OrbitReduction
     spectrum: InvariantSpectrum
+
+    @property
+    def ops(self) -> FemOperators:
+        return self.red.ops
 
 
 def _setup(builder, *args, count=8, **kwargs) -> Setup:
     mesh, action = builder(*args, **kwargs)
-    ops = assemble(mesh)
-    return Setup(mesh, action, ops, invariant_spectrum(ops, action, count=count))
+    red = orbit_reduction(assemble(mesh), action)
+    return Setup(mesh, action, red, invariant_spectrum(red, count=count))
 
 
 @pytest.fixture(scope="session")

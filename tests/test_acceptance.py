@@ -16,7 +16,6 @@ import pytest
 
 from tmsurf import cli
 from tmsurf.constructions import (
-    BubbleProfile,
     build_test_family,
     bubble_integral,
     bubble_integral_quad,
@@ -28,7 +27,7 @@ from tmsurf.constructions import (
 from tmsurf.constructions import test_family_lower_bound as family_lower_bound
 from tmsurf.constructions.moser import MoserSequence, moser_evaluate, moser_normalized
 from tmsurf.constructions.radial import RadialModel
-from tmsurf.discretization import NormParams, assemble, exp_functional
+from tmsurf.discretization import NormParams, assemble, exp_functional, orbit_reduction
 from tmsurf.geometry import build_flat_torus_mesh, build_sphere_mesh, orbit_stats
 from tmsurf.maximizer import (
     ProblemSpec,
@@ -71,7 +70,7 @@ def test_criterion_01_invariant_sphere_spectra(sphere4_trivial, sphere4):
 
 def test_criterion_02_torus_spectrum():
     mesh, action = build_flat_torus_mesh(64, 64)
-    spec = invariant_spectrum(assemble(mesh), action, 6)
+    spec = invariant_spectrum(orbit_reduction(assemble(mesh), action), 6)
     lam, mult = spec.groups[0]
     err = abs(lam - 4 * np.pi**2) / (4 * np.pi**2)
     ok = err < 0.005 and mult == 4
@@ -134,7 +133,7 @@ def test_criterion_05_sharpness_dichotomy():
 def test_criterion_06_critical_shift_failure(sphere4):
     s = sphere4
     rows = alpha_failure_probe(
-        s.ops, s.action, s.spectrum.eigenvectors[:, 0],
+        s.ops, s.spectrum.eigenvectors[:, 0],
         alpha=s.spectrum.lambda_1, t_grid=(1.0, 2.0, 4.0, 8.0),
     )
     rates = [row["growth_rate"] for row in rows]
@@ -156,15 +155,15 @@ def regular_part_table(sphere4):
     table = {}
     for level in (4, 5):
         if level == 4:
-            mesh, action, ops = sphere4.mesh, sphere4.action, sphere4.ops
+            red = sphere4.red
         else:
             mesh, action = build_sphere_mesh(5, "antipodal")
-            ops = assemble(mesh)
-        src = int(orbit_stats(action).min_vertices[0])
+            red = orbit_reduction(assemble(mesh), action)
+        src = int(orbit_stats(red.action).min_vertices[0])
         for alpha in (0.0, 3.0):
-            dec = green_solve(ops, action, src, NormParams(alpha=alpha, lambda_gap=6.0))
+            dec = green_solve(red, src, NormParams(alpha=alpha, lambda_gap=6.0))
             a = extract_A(dec)
-            dec_b = green_solve(ops, action, src, NormParams(alpha=alpha, lambda_gap=6.0))
+            dec_b = green_solve(red, src, NormParams(alpha=alpha, lambda_gap=6.0))
             a_wide = extract_A(dec_b, annulus=(7.5, 30.0))
             table[(level, alpha)] = (dec, a, a_wide)
     return table
@@ -191,13 +190,13 @@ def _torus_green_exact(x, y):
 
 def test_criterion_07_green_oracles(regular_part_table):
     mesh, action = build_flat_torus_mesh(256, 256)
-    ops = assemble(mesh)
-    dec = green_solve(ops, action, 0, NormParams(alpha=0.0, lambda_gap=4 * np.pi**2))
+    red = orbit_reduction(assemble(mesh), action)
+    dec = green_solve(red, 0, NormParams(alpha=0.0, lambda_gap=4 * np.pi**2))
     sel = dec.dist_source >= 0.1
     pts = mesh.vertices[:, :2] - mesh.vertices[0, :2]
     exact = _torus_green_exact(pts[:, 0], pts[:, 1])
     diff = dec.values[sel] - exact[sel]
-    w = ops.lumped[sel]
+    w = red.lumped[sel]
     diff -= float(w @ diff) / float(w.sum())
     torus_err = float(np.max(np.abs(diff)) / np.max(np.abs(exact[sel])))
 
@@ -241,7 +240,7 @@ def family_reports(sphere4):
     s = sphere4
     alpha = 0.25 * s.spectrum.lambda_1
     src = int(orbit_stats(s.action).min_vertices[0])
-    dec = green_solve(s.ops, s.action, src, NormParams(alpha=alpha, lambda_gap=s.spectrum.lambda_1))
+    dec = green_solve(s.red, src, NormParams(alpha=alpha, lambda_gap=s.spectrum.lambda_1))
     extract_A(dec)
     green_l2_norm_sq(dec)
     reports = [family_lower_bound(build_test_family(dec, eps)) for eps in (1e-3, 1e-4, 1e-5)]
@@ -270,7 +269,7 @@ def test_criterion_09b_margin_tracks_green_norm(family_reports):
     dec, reports = family_reports
     gamma = 4 * np.pi * dec.ell
     target = gamma * dec.l2_sq + np.exp(1.0 + gamma * dec.a_const) / 4
-    ratios = np.array([r.margin * r.c_sq / target for r in reports])
+    ratios = np.array([r.margin_c_sq / target for r in reports])
     tethered = np.array([r.tether_ratio for r in reports])
     ok = bool(np.all(np.abs(ratios - 1.0) <= 0.3) and np.all(tethered >= 1.0))
     assert _line(
@@ -313,7 +312,7 @@ def l4_problem(sphere4):
     s = sphere4
     comp = complement_projector(s.spectrum, 1)
     alpha = 0.25 * s.spectrum.lambda_1
-    spec = ProblemSpec(s.ops, s.action, comp, alpha, epsilon_sub=2 * np.pi)
+    spec = ProblemSpec(s.red, comp, alpha, epsilon_sub=2 * np.pi)
     return spec, solve_subcritical(spec, seed="moser", tol=1e-8)
 
 
@@ -338,7 +337,7 @@ def _competitor_values(spec, s, rng_seed=0, n_random=20):
 def test_criterion_10_maximizer_dominates(sphere4, l4_problem):
     spec, state = l4_problem
     competitors = _competitor_values(spec, sphere4)
-    rep = multiplier_report(state, sphere4.ops)
+    rep = multiplier_report(state)
     identities = max(rep.residual_u, rep.residual_const)
     dominated = sum(v < state.value for v in competitors)
     ok = (
@@ -358,19 +357,17 @@ def test_criterion_10_maximizer_dominates(sphere4, l4_problem):
 
 def test_criterion_11_orbit_equipartition():
     mesh, action = build_sphere_mesh(5, "antipodal")
-    ops = assemble(mesh)
-    spec = invariant_spectrum(ops, action, 8)
+    red = orbit_reduction(assemble(mesh), action)
+    spec = invariant_spectrum(red, 8)
     comp = complement_projector(spec, 1)
     alpha = 0.25 * spec.lambda_1
     states = []
     for eps in (2 * np.pi, np.pi, np.pi / 2):
-        problem = ProblemSpec(ops, action, comp, alpha, epsilon_sub=eps)
+        problem = ProblemSpec(red, comp, alpha, epsilon_sub=eps)
         states.append(solve_subcritical(problem, seed="moser", tol=1e-8))
     assert all(st.converged for st in states)
     final = states[-1]
-    diag = blowup_diagnostics(
-        final, mesh, action, BubbleProfile(2), radii=(0.1, 0.2, 0.4), c_threshold=0.5
-    )
+    diag = blowup_diagnostics(final, radii=(0.1, 0.2, 0.4), c_threshold=0.5)
     equal = bool(np.all(diag.local_energies[0] == diag.local_energies[1]))
     frac = float(diag.energy_fractions[1])
     assert _line(
@@ -386,7 +383,7 @@ def test_criterion_12_second_level(sphere4):
     lam2 = s.spectrum.group_value(2)
     m1 = s.spectrum.groups[0][1]
     rows = alpha_failure_probe(
-        s.ops, s.action, s.spectrum.eigenvectors[:, m1], alpha=lam2, t_grid=(1.0, 2.0, 4.0, 8.0)
+        s.ops, s.spectrum.eigenvectors[:, m1], alpha=lam2, t_grid=(1.0, 2.0, 4.0, 8.0)
     )
     rates = [row["growth_rate"] for row in rows]
     probe_ok = all(row["feasible"] for row in rows) and rates[0] > 0 and all(
@@ -394,9 +391,9 @@ def test_criterion_12_second_level(sphere4):
     )
 
     comp = complement_projector(s.spectrum, 2)
-    spec = ProblemSpec(s.ops, s.action, comp, 0.25 * lam2, epsilon_sub=2 * np.pi)
+    spec = ProblemSpec(s.red, comp, 0.25 * lam2, epsilon_sub=2 * np.pi)
     state = solve_subcritical(spec, seed="moser", tol=1e-8)
-    rep = multiplier_report(state, s.ops)
+    rep = multiplier_report(state)
     gam = float(np.max(rep.residual_gammas))
     competitors = _competitor_values(spec, s)
     dominated = sum(v < state.value for v in competitors)

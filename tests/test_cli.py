@@ -15,6 +15,7 @@ import pytest
 import scipy.sparse.linalg
 
 from tmsurf import cli
+from tmsurf.geometry import GroupError, check_group_action, read_group_json, read_off
 
 
 def _run_config(tmp_path, name="run.json", **overrides):
@@ -87,7 +88,7 @@ def test_bounds_command_csv(tmp_path):
     assert [row["eps"] for row in payload["sweep"]] == [1e-3, 1e-4]
     assert all(row["margin"] > 0 for row in payload["sweep"])
     csv_lines = (tmp_path / "bounds.csv").read_text().splitlines()
-    assert csv_lines[0] == "eps,margin,value,log_value,bound,bound_log,tether,margin_log_eps,b_const,c_sq"
+    assert csv_lines[0] == "eps,margin,value,log_value,bound,bound_log,tether,margin_c_sq,b_const,c_sq"
     assert len(csv_lines) == 3
 
 
@@ -222,6 +223,28 @@ def test_bad_group_exits_2(tmp_path):
                          "--out", str(tmp_path / "s2.off")]) == 2
 
 
+def test_non_isometric_group_exits_2(tmp_path):
+    # vertex 0 of a level-1 antipodal sphere pushed out to radius 1.3: the
+    # antipodal permutations still form a group preserving the triangles, but
+    # the edges at vertex 0 no longer match those at its antipode
+    mesh, export = tmp_path / "s.off", tmp_path / "s.json"
+    argv = ["mesh", "--level", "1", "--group", "antipodal", "--out", str(mesh)]
+    assert cli.main(argv + ["--perms-out", str(export)]) == 0
+    lines = mesh.read_text().splitlines()
+    lines[3] = " ".join(repr(1.3 * float(x)) for x in lines[3].split())
+    mesh.write_text("\n".join(lines) + "\n")
+    scaled = read_off(mesh)
+    action = read_group_json(export, scaled.n_vertices)
+    with pytest.raises(GroupError, match="not an isometry"):
+        check_group_action(scaled, action)
+    assert cli.main(["spectrum", "--mesh", str(mesh), "--perms", str(export),
+                     "--out", str(tmp_path / "spec.json")]) == 2
+
+    # the unscaled export passes
+    assert cli.main(argv) == 0
+    check_group_action(read_off(mesh), action)
+
+
 @pytest.mark.parametrize("overrides", [
     {"eigen_count": 0},
     {"eigen_count": 10**6},
@@ -324,15 +347,6 @@ def test_compare_level_pair_richardson(tmp_path):
     assert report["max_rel_diff"] > 0
 
 
-def test_threaded_sweep_matches_serial(pipeline_runs, tmp_path, monkeypatch):
-    base, out1, _ = pipeline_runs
-    monkeypatch.setenv("TM_THREADS", "3")
-    out3 = tmp_path / "threaded"
-    assert cli.main(["run", str(base / "run.json"), "--out-dir", str(out3)]) == 0
-    assert (out3 / "results.json").read_bytes() == (out1 / "results.json").read_bytes()
-    assert (out3 / "margins.csv").read_bytes() == (out1 / "margins.csv").read_bytes()
-
-
 def test_sharpness_model_follows_imported_mesh(tmp_path):
     sharp = {"ell": 2, "beta_grid": [22.6], "k_grid": [100, 1000]}
     built = _run_config(tmp_path, "built.json", surface={"kind": "sphere", "level": 2},
@@ -390,12 +404,13 @@ def test_green_and_maximize_share_one_factorization(tmp_path, monkeypatch):
     assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
 
-    # a maximizer alpha of its own gets its own factorization; none outlives its last stage
+    # a maximizer alpha of its own gets its own factorization; the orbit space
+    # holds none after the last stage that solves
     own_alpha = {"surface": {"kind": "sphere", "level": 3}, "group": "antipodal", "alpha": 1.5,
                  "maximize": {"alpha": 1.0, "epsilon_sub": 2 * np.pi}}
     ctx = cli.run_stages(cli.Context(own_alpha), ["green", "maximize"])
     assert len(calls) == 3
-    assert ctx.solver is None
+    assert ctx.red.held is None
 
 
 def test_compare_rejects_non_run_directory(tmp_path):

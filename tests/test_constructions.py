@@ -34,7 +34,13 @@ from tmsurf.constructions import (
 )
 from tmsurf.constructions import test_family_lower_bound as family_lower_bound
 from tmsurf.constructions.moser import cap_radius_limit
-from tmsurf.discretization import NormParams, norm_one_alpha, project_invariant_meanzero
+from tmsurf.discretization import (
+    NormParams,
+    assemble,
+    norm_one_alpha,
+    orbit_reduction,
+    project_invariant_meanzero,
+)
 from tmsurf.geometry import MeshError, build_flat_torus_mesh, orbit_stats
 
 # ---------------------------------------------------------------- bubble
@@ -197,7 +203,7 @@ def _sphere_green_exact(theta):
 def green_sphere4_trivial(sphere4_trivial):
     s = sphere4_trivial
     params = NormParams(alpha=0.0, lambda_gap=s.spectrum.lambda_1)
-    return green_solve(s.ops, s.action, 0, params)
+    return green_solve(s.red, 0, params)
 
 
 @pytest.fixture(scope="module")
@@ -205,8 +211,8 @@ def green_sphere4_pair(sphere4):
     s = sphere4
     source = int(orbit_stats(s.action).min_vertices[0])
     gap = s.spectrum.lambda_1
-    dec0 = green_solve(s.ops, s.action, source, NormParams(alpha=0.0, lambda_gap=gap))
-    dec3 = green_solve(s.ops, s.action, source, NormParams(alpha=3.0, lambda_gap=gap))
+    dec0 = green_solve(s.red, source, NormParams(alpha=0.0, lambda_gap=gap))
+    dec3 = green_solve(s.red, source, NormParams(alpha=3.0, lambda_gap=gap))
     return dec0, dec3
 
 
@@ -317,11 +323,9 @@ _A_TORUS = -(np.log(2 * np.pi) + 2 * _torus_log_eta_sum()) / (2 * np.pi) + 1.0 /
 @pytest.fixture(scope="module")
 def green_torus64():
     mesh, action = build_flat_torus_mesh(64, 64)
-    from tmsurf.discretization import assemble
-
-    ops = assemble(mesh)
-    dec = green_solve(ops, action, 0, NormParams(alpha=0.0, lambda_gap=4 * np.pi**2))
-    return mesh, ops, dec
+    red = orbit_reduction(assemble(mesh), action)
+    dec = green_solve(red, 0, NormParams(alpha=0.0, lambda_gap=4 * np.pi**2))
+    return mesh, red.ops, dec
 
 
 def test_torus_lattice_constant_value():
@@ -346,9 +350,7 @@ def test_torus_green_regular_constant(green_torus64):
 
 def test_torus_fit_annulus_guard(torus24):
     # 24^2 spacing pushes the fit annulus past the injectivity scale
-    dec = green_solve(
-        torus24.ops, torus24.action, 0, NormParams(alpha=0.0, lambda_gap=4 * np.pi**2)
-    )
+    dec = green_solve(torus24.red, 0, NormParams(alpha=0.0, lambda_gap=4 * np.pi**2))
     with pytest.raises(GreenError, match="annulus"):
         extract_A(dec)
 
@@ -388,9 +390,7 @@ def test_richardson_pair_arithmetic():
 def family_sweep(sphere3):
     s = sphere3
     source = int(orbit_stats(s.action).min_vertices[0])
-    dec = green_solve(
-        s.ops, s.action, source, NormParams(alpha=1.5, lambda_gap=s.spectrum.lambda_1)
-    )
+    dec = green_solve(s.red, source, NormParams(alpha=1.5, lambda_gap=s.spectrum.lambda_1))
     eps_grid = (1e-2, 1e-3, 1e-4, 1e-5)
     fams = [build_test_family(dec, eps) for eps in eps_grid]
     reports = [family_lower_bound(fam) for fam in fams]
@@ -439,7 +439,7 @@ def test_family_margin_behavior(family_sweep):
     assert np.all(np.diff(margins) < 0)
     for rep in reports:
         assert rep.margin == pytest.approx(rep.value - rep.bound.value, rel=1e-12)
-        assert rep.margin_log_eps == pytest.approx(rep.margin * -np.log(rep.eps), rel=1e-12)
+        assert rep.margin_c_sq == pytest.approx(rep.margin * rep.c_sq, rel=1e-12)
         assert rep.value == pytest.approx(
             rep.outer_value + rep.inner_value + rep.annulus_value, rel=1e-12
         )
@@ -470,9 +470,7 @@ def test_family_eps_range_guard(family_sweep):
 def test_family_orbit_separation_guard():
     # quarter-translation orbits on the unit torus leave no room at eps = 0.04
     mesh, action = build_flat_torus_mesh(48, 48, group_kind="shift(24,0)+shift(0,24)")
-    from tmsurf.discretization import assemble
-
-    ops = assemble(mesh)
-    dec = green_solve(ops, action, 0, NormParams(alpha=0.0, lambda_gap=1.0))
+    red = orbit_reduction(assemble(mesh), action)
+    dec = green_solve(red, 0, NormParams(alpha=0.0, lambda_gap=1.0))
     with pytest.raises(FamilyError, match="orbit separation"):
         build_test_family(dec, 0.04)

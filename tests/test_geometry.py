@@ -97,20 +97,20 @@ def test_triangle_areas_positive(sphere3, torus24):
 
 def test_sphere_geodesics_exact(sphere3):
     mesh = sphere3.mesh
-    field = geodesic_distance(mesh, 0)
-    assert field.distances[0] == 0.0
-    i_anti = int(np.argmax(field.distances))
-    assert abs(field.distances[i_anti] - np.pi) < 1e-12
+    d = geodesic_distance(mesh, 0)
+    assert d[0] == 0.0
+    i_anti = int(np.argmax(d))
+    assert abs(d[i_anti] - np.pi) < 1e-12
     assert np.array_equal(mesh.vertices[i_anti], -mesh.vertices[0])
     # mirrored source gives the bitwise-identical distance field
     flip = sphere3.action.permutations[1]
-    d2 = geodesic_distance(mesh, i_anti).distances
-    assert np.array_equal(d2, field.distances[flip])
+    d2 = geodesic_distance(mesh, i_anti)
+    assert np.array_equal(d2, d[flip])
 
 
 def test_torus_geodesics_wrap(torus24):
     mesh = torus24.mesh
-    d = geodesic_distance(mesh, 0).distances
+    d = geodesic_distance(mesh, 0)
     assert d.max() <= np.sqrt(2.0) / 2.0 + 1e-15
     # neighbor across the periodic seam is one grid step away
     nx, ny = mesh.grid_shape

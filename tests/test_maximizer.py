@@ -33,9 +33,7 @@ from tmsurf.spectrum import complement_projector, rayleigh_quotient
 def _spec(s, epsilon_sub, level=1, alpha_frac=0.25):
     comp = complement_projector(s.spectrum, level)
     alpha = alpha_frac * comp.lambda_level
-    return ProblemSpec(
-        ops=s.ops, action=s.action, complement=comp, alpha=alpha, epsilon_sub=epsilon_sub
-    )
+    return ProblemSpec(red=s.red, complement=comp, alpha=alpha, epsilon_sub=epsilon_sub)
 
 
 # ---------------------------------------------------------------- quadratic regime
@@ -111,7 +109,7 @@ def test_moderate_epsilon_feasibility(sphere3, moderate_state):
 
 def test_moderate_epsilon_multipliers(sphere3, moderate_state):
     _, state = moderate_state
-    report = multiplier_report(state, sphere3.ops)
+    report = multiplier_report(state)
     assert report.residual_u < 1e-12
     assert report.residual_const < 1e-12
     assert report.residual_gammas.size == 0
@@ -165,7 +163,7 @@ def test_group_sort_only_on_vertex_seed(sphere3, group_sorts, seed):
     assert state.converged and state.iterations > 1
     assert len(group_sorts) == sorts
     params = NormParams(alpha=spec.alpha, lambda_gap=sphere3.spectrum.lambda_1)
-    green_solve(sphere3.ops, sphere3.action, 0, params, red=spec.red)
+    green_solve(sphere3.red, 0, params)
     assert len(group_sorts) == sorts
 
 
@@ -206,7 +204,7 @@ def test_second_level_multipliers(sphere3):
     state = solve_subcritical(spec, seed="moser")
     assert state.converged
     assert state.gammas.size == 5  # multiplicity of the removed cluster
-    report = multiplier_report(state, sphere3.ops)
+    report = multiplier_report(state)
     assert report.residual_gammas.size == 5
     assert np.max(report.residual_gammas) < 1e-8
     # solution stays orthogonal to the removed cluster
@@ -229,8 +227,8 @@ def _bubble_state(s, c, lambda_eps=4.0, epsilon_sub=25.0):
     )
     # min over the two mirrored fields stays bitwise invariant under the flip
     d = np.minimum(
-        geodesic_distance(s.mesh, center).distances,
-        geodesic_distance(s.mesh, partner).distances,
+        geodesic_distance(s.mesh, center),
+        geodesic_distance(s.mesh, partner),
     )
     u = c + bubble(d / r_eps) / c
     value = float(np.sum(s.ops.lumped * np.exp(u)))
@@ -247,12 +245,12 @@ def _bubble_state(s, c, lambda_eps=4.0, epsilon_sub=25.0):
         iterations=1,
         converged=True,
         spec=spec,
-    ), bubble, r_eps
+    ), r_eps
 
 
 def test_blowup_profile_recovery(sphere3):
-    spec, state, bubble, r_eps = _bubble_state(sphere3, c=3.3)
-    diag = blowup_diagnostics(state, sphere3.mesh, sphere3.action, bubble, radii=(0.4, 0.8))
+    spec, state, r_eps = _bubble_state(sphere3, c=3.3)
+    diag = blowup_diagnostics(state, radii=(0.4, 0.8))
     assert diag.r_eps == pytest.approx(r_eps, rel=1e-12)
     assert not diag.resolution_warning
     assert diag.profile_points >= 8
@@ -261,8 +259,8 @@ def test_blowup_profile_recovery(sphere3):
 
 
 def test_blowup_orbit_energies_identical(sphere3):
-    _, state, bubble, _ = _bubble_state(sphere3, c=3.3)
-    diag = blowup_diagnostics(state, sphere3.mesh, sphere3.action, bubble, radii=(0.4, 0.8))
+    _, state, _ = _bubble_state(sphere3, c=3.3)
+    diag = blowup_diagnostics(state, radii=(0.4, 0.8))
     np.testing.assert_array_equal(diag.local_energies[0], diag.local_energies[1])
     assert np.all(diag.local_energies > 0)
     assert np.all(np.diff(diag.energy_fractions) > 0)
@@ -272,21 +270,21 @@ def test_blowup_orbit_energies_identical(sphere3):
 
 
 def test_blowup_threshold_guard(sphere3):
-    _, state, bubble, _ = _bubble_state(sphere3, c=3.3)
+    _, state, _ = _bubble_state(sphere3, c=3.3)
     low = MaximizerState(
         u=state.u, lambda_eps=state.lambda_eps, mu_eps=state.mu_eps, gammas=state.gammas,
         c_eps=1.0, x_eps=state.x_eps, value=state.value, log_value=state.log_value,
         residual=0.0, iterations=1, converged=True, spec=state.spec,
     )
     with pytest.raises(MaximizerError, match="threshold"):
-        blowup_diagnostics(low, sphere3.mesh, sphere3.action, bubble, radii=(0.4,))
+        blowup_diagnostics(low, radii=(0.4,))
 
 
 def test_blowup_resolution_warning(sphere3):
     # c = 8 drives r_eps far below the L3 edge length
-    _, state, bubble, _ = _bubble_state(sphere3, c=8.0)
+    _, state, _ = _bubble_state(sphere3, c=8.0)
     with pytest.warns(UserWarning, match="resolution"):
-        diag = blowup_diagnostics(state, sphere3.mesh, sphere3.action, bubble, radii=(0.4,))
+        diag = blowup_diagnostics(state, radii=(0.4,))
     assert diag.resolution_warning
     assert np.isnan(diag.profile_error)
 
@@ -313,9 +311,7 @@ def test_sharpness_probe_separates_regimes():
 def test_alpha_failure_probe_growth(sphere3):
     e1 = sphere3.spectrum.eigenvectors[:, 0]
     lam1 = sphere3.spectrum.lambda_1
-    rows = alpha_failure_probe(
-        sphere3.ops, sphere3.action, e1, alpha=lam1, t_grid=(1.0, 2.0, 4.0, 8.0)
-    )
+    rows = alpha_failure_probe(sphere3.ops, e1, alpha=lam1, t_grid=(1.0, 2.0, 4.0, 8.0))
     assert all(row["feasible"] for row in rows)
     assert all(abs(row["shifted_form"]) < 1e-8 * row["t"] ** 2 for row in rows)
     rates = [row["growth_rate"] for row in rows]

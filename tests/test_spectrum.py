@@ -55,16 +55,16 @@ def test_eigenvectors_orthonormal_meanzero_invariant(sphere3):
 
 
 def test_spectrum_is_deterministic(sphere3):
-    again = invariant_spectrum(sphere3.ops, sphere3.action, count=8)
+    again = invariant_spectrum(sphere3.red, count=8)
     assert np.array_equal(again.eigenvalues, sphere3.spectrum.eigenvalues)
     assert np.array_equal(again.eigenvectors, sphere3.spectrum.eigenvectors)
 
 
 def test_count_validation(sphere3):
     with pytest.raises(SpectrumError):
-        invariant_spectrum(sphere3.ops, sphere3.action, count=0)
+        invariant_spectrum(sphere3.red, count=0)
     with pytest.raises(SpectrumError):
-        invariant_spectrum(sphere3.ops, sphere3.action, count=10**6)
+        invariant_spectrum(sphere3.red, count=10**6)
 
 
 def test_complement_level_one_is_whole_space(sphere3):
