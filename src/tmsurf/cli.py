@@ -52,7 +52,7 @@ from .maximizer import (
     sharpness_probe,
     solve_subcritical,
 )
-from .spectrum import InvariantSpectrum, complement_projector, invariant_spectrum
+from .spectrum import InvariantSpectrum, invariant_spectrum
 
 SCHEMA_VERSION = 1
 
@@ -351,9 +351,8 @@ def _stage_maximize(ctx: Context) -> None:
     if not 0.0 < eps_sub < 4.0 * np.pi * ell:
         raise ConfigError(f"epsilon_sub={eps_sub} outside (0, 4*pi*ell={4 * np.pi * ell:.6g})")
     level = _cluster_level(mcfg.get("level", 1), ctx.spec)
-    comp = complement_projector(ctx.spec, level)
     alpha = _resolve_alpha(mcfg.get("alpha", ctx.cfg.get("alpha", 0.0)), ctx.spec)
-    problem = ProblemSpec(ctx.red, comp, alpha, eps_sub)
+    problem = ProblemSpec(ctx.red, ctx.spec, level, alpha, eps_sub)
     seed = mcfg.get("seed", "moser")
     if isinstance(seed, list):
         seed = np.asarray(_numbers(seed, "seed"))

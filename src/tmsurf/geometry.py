@@ -614,12 +614,11 @@ def max_radius(mesh: SurfaceMesh) -> float:
 
 
 def mean_edge_length(mesh: SurfaceMesh) -> float:
-    corners = triangle_corners(mesh)
-    m = len(corners)
+    tri = mesh.triangles
+    m = len(tri)
     lengths = np.empty(3 * m)  # filled one side at a time, in the order of the sides
     for side, (a, b) in enumerate(((1, 0), (2, 1), (0, 2))):
-        e = corners[:, a] - corners[:, b]
-        np.sqrt((e * e).sum(axis=1), out=lengths[side * m : (side + 1) * m])
+        np.sqrt(_edge_sq(mesh, tri[:, b], tri[:, a]), out=lengths[side * m : (side + 1) * m])
     return float(lengths.mean())  # each interior edge counted twice; fine for a mean
 
 

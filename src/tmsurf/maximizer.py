@@ -10,11 +10,13 @@ Euler-Lagrange system
 
 where F(u) = a * u * exp(beta u^2) is the lumped nonlinear load, a the lumped
 areas, lambda = u.F, mu = sum(F)/Vol, and gamma_k = e_k.F / lambda.  All
-multiplier terms are scale-free ratios of the load, so the iteration is
-evaluated with the peak exponent shifted out and never overflows.  It runs on
-orbit unknowns w, u = S w, with the reduced K, M and areas, so invariance is
-exact by construction; vertex vectors appear only in the seed, the returned u
-and the numbers reported with it.
+multiplier terms are scale-free ratios of the load, so the system is
+evaluated with the peak exponent shifted out and never overflows.  Everything
+runs on orbit unknowns w, u = S w, with the reduced K, M and areas, so
+invariance is exact by construction: ``_multipliers`` is the one evaluation
+of the load and the multipliers, shared by the ascent step, the polish, the
+returned state and ``multiplier_report``.  Vertex vectors appear only in the
+seed and in the returned u.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .geometry import (
     triangle_corners,
     triangle_edge_sq,
 )
-from .spectrum import ComplementSpace
+from .spectrum import InvariantSpectrum
 
 __all__ = [
     "MaximizerError",
@@ -82,15 +84,21 @@ class MaximizerError(RuntimeError):
 class ProblemSpec:
     """Maximization problem at exponent 4*pi*ell - epsilon_sub on level ``j``.
 
-    ``complement`` carries the working subspace (level 1 removes nothing) and
-    the eigenvalue gap that ``alpha`` must stay below.  The solver iterates on
-    the orbits of ``red`` with the factorization it holds at ``alpha``.
+    The working subspace is the complement of the first ``level - 1``
+    eigenvalue clusters of ``spectrum`` (level 1 removes nothing).
+    ``orbit_basis`` holds the removed eigenvectors on orbit unknowns,
+    ``spectrum.eigenvectors[red.reps, :m]``, and ``lambda_level``, the
+    eigenvalue of cluster ``level``, is the gap that ``alpha`` must stay
+    below.  The solver iterates on the orbits of ``red`` with the
+    factorization it holds at ``alpha``.
     """
 
     red: OrbitReduction
-    complement: ComplementSpace
+    spectrum: InvariantSpectrum = field(repr=False)
+    level: int
     alpha: float
     epsilon_sub: float
+    lambda_level: float = field(init=False)
     orbit_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -99,12 +107,14 @@ class ProblemSpec:
             raise MaximizerError(
                 f"epsilon_sub={self.epsilon_sub} outside (0, 4*pi*ell={4 * np.pi * ell:.6g})"
             )
-        if self.alpha >= self.complement.lambda_level:
+        self.lambda_level = self.spectrum.group_value(self.level)  # raises outside the clusters
+        if self.alpha >= self.lambda_level:
             raise MaximizerError(
-                f"alpha={self.alpha} is not below the level-{self.complement.level} "
-                f"gap {self.complement.lambda_level:.6g}"
+                f"alpha={self.alpha} is not below the level-{self.level} "
+                f"gap {self.lambda_level:.6g}"
             )
-        self.orbit_basis = self.complement.basis[self.red.reps]
+        m = sum(g[1] for g in self.spectrum.groups[: self.level - 1])
+        self.orbit_basis = self.spectrum.eigenvectors[self.red.reps, :m]
 
     @property
     def ops(self) -> FemOperators:
@@ -119,16 +129,12 @@ class ProblemSpec:
         return self.action.min_orbit_size
 
     @property
-    def level(self) -> int:
-        return self.complement.level
-
-    @property
     def beta(self) -> float:
         return 4.0 * np.pi * self.ell - self.epsilon_sub
 
     @property
     def norm_params(self) -> NormParams:
-        return NormParams(alpha=self.alpha, lambda_gap=self.complement.lambda_level, beta=self.beta)
+        return NormParams(alpha=self.alpha, lambda_gap=self.lambda_level, beta=self.beta)
 
 
 @dataclass(eq=False)
@@ -190,28 +196,27 @@ def _seed_orbits(spec: ProblemSpec, seed, rng_seed: int, solve) -> np.ndarray:
     raise MaximizerError(f"unknown seed {seed!r}; use 'moser', 'symmetric', 'random', or an array")
 
 
-def _multipliers(spec: ProblemSpec, u: np.ndarray, ops: FemOperators, basis: np.ndarray):
-    """Scale-free Euler-Lagrange data at u.
+def _multipliers(spec: ProblemSpec, w: np.ndarray):
+    """Scale-free Euler-Lagrange data at the orbit vector w.
 
-    Takes a vertex u with (spec.ops, spec.complement.basis) or an orbit u
-    with (spec.red, spec.orbit_basis).  Returns (rhs, shift, lam_shifted,
-    mu_shifted, gammas) where the true lambda is lam_shifted * e^shift and
-    rhs is the multiplier-corrected load
-    (1/lambda) F - (mu/lambda) a - sum gamma_k M e_k, which needs no shift.
+    Returns (load, rhs, shift, lam_shifted, mu_shifted, gammas): ``load`` is
+    the lumped load F = a w e^(beta w^2) times e^-shift, the true lambda and
+    mu are lam_shifted * e^shift and mu_shifted * e^shift, and the gammas and
+    rhs = (1/lambda) F - (mu/lambda) a - sum gamma_k M e_k need no shift.
     """
-    a = ops.lumped
-    t = spec.beta * u * u
+    red, basis = spec.red, spec.orbit_basis
+    t = spec.beta * w * w
     shift = float(t.max())
-    f_sh = a * u * np.exp(t - shift)
-    lam_sh = float(u @ f_sh)
+    load = red.lumped * w * np.exp(t - shift)
+    lam_sh = float(w @ load)
     if lam_sh <= 0:
         raise MaximizerError("degenerate iterate: int u^2 e^(beta u^2) vanished")
-    mu_sh = float(np.sum(f_sh)) / ops.mesh.total_area
-    gammas_sh = basis.T @ f_sh if basis.size else np.zeros(0)
-    rhs = f_sh / lam_sh - (mu_sh / lam_sh) * a
+    mu_sh = float(np.sum(load)) / red.mesh.total_area
+    gammas = basis.T @ load / lam_sh if basis.size else np.zeros(0)
+    rhs = load / lam_sh - (mu_sh / lam_sh) * red.lumped
     if basis.size:
-        rhs = rhs - (ops.mass @ basis) @ (gammas_sh / lam_sh)
-    return rhs, shift, lam_sh, mu_sh, gammas_sh / lam_sh
+        rhs = rhs - (red.mass @ basis) @ gammas
+    return load, rhs, shift, lam_sh, mu_sh, gammas
 
 
 def _residual(spec: ProblemSpec, w: np.ndarray, rhs: np.ndarray, solve) -> float:
@@ -238,21 +243,21 @@ def solve_subcritical(
     ``spec.red`` holds at ``spec.alpha``; the returned state holds their
     expansion.
     """
-    ops, red = spec.ops, spec.red
+    red = spec.red
     solve = red.shifted_solver(spec.alpha)
     w = _seed_orbits(spec, seed, rng_seed, solve)
     log_j = exp_functional(w, spec.beta, red).log_value
     step = 1.0
     best = None  # (residual, w, log_j, iteration)
-    carried = None  # (rhs, residual) of an accepted polish trial, which is the next w
+    carried = None  # (load, rhs, residual) of an accepted polish trial, which is the next w
 
     it = 0
     for it in range(1, max_iters + 1):
         if carried is None:
-            rhs = _multipliers(spec, w, red, spec.orbit_basis)[0]
+            load, rhs = _multipliers(spec, w)[:2]
             res = _residual(spec, w, rhs, solve)
         else:
-            (rhs, res), carried = carried, None
+            (load, rhs, res), carried = carried, None
         if best is None or res < best[0]:
             best = (res, w, log_j, it)
         if res <= tol:
@@ -268,19 +273,17 @@ def solve_subcritical(
             log_try = exp_functional(w_try, spec.beta, red).log_value
             if log_try + 64 * np.finfo(float).eps * max(1.0, abs(log_j)) < log_j:
                 continue
-            rhs_try = _multipliers(spec, w_try, red, spec.orbit_basis)[0]
+            load_try, rhs_try = _multipliers(spec, w_try)[:2]
             res_try = _residual(spec, w_try, rhs_try, solve)
             if res_try < _POLISH_FACTOR * res:
                 w, log_j, moved = w_try, log_try, True
-                carried = (rhs_try, res_try)
+                carried = (load_try, rhs_try, res_try)
                 break
         if moved:
             continue
 
         # preconditioned gradient ascent with backtracking on the log value
-        t = spec.beta * w * w
-        grad = red.lumped * w * np.exp(t - float(t.max()))
-        d = _constrain(spec, solve(grad))
+        d = _constrain(spec, solve(load))
         accepted = False
         while step >= _STEP_MIN:
             w_try = _normalize(spec, _constrain(spec, w + step * d))
@@ -294,23 +297,19 @@ def solve_subcritical(
             break  # stationary to floating-point resolution
 
     w = _normalize(spec, best[1])
-    u = red.expand(w)
-    rhs, shift, lam_sh, mu_sh, gammas = _multipliers(spec, u, ops, spec.complement.basis)
-    res = _residual(spec, w, red.reduce(rhs), solve)
-    val = exp_functional(u, spec.beta, ops)
-    lam = lam_sh * np.exp(shift)
-    if lam <= 0:
-        raise MaximizerError(f"lambda_eps = {lam!r} is not positive at the returned state")
-    nrm = norm_one_alpha(u, ops, spec.norm_params)
+    _, rhs, shift, lam_sh, mu_sh, gammas = _multipliers(spec, w)
+    res = _residual(spec, w, rhs, solve)
+    val = exp_functional(w, spec.beta, red)
+    nrm = norm_one_alpha(w, red, spec.norm_params)
     if abs(nrm - 1.0) > 1e-10:
         raise MaximizerError(f"normalization drifted: |u|_(1,alpha) = {nrm!r}")
-    c_eps = float(np.max(np.abs(u)))
+    u = red.expand(w)
     state = MaximizerState(
         u=u,
-        lambda_eps=float(lam),
+        lambda_eps=float(lam_sh * np.exp(shift)),
         mu_eps=float(mu_sh * np.exp(shift)),
-        gammas=np.asarray(gammas, dtype=float),
-        c_eps=c_eps,
+        gammas=gammas,
+        c_eps=float(np.max(np.abs(w))),
         x_eps=int(np.argmax(np.abs(u))),
         value=val.value,
         log_value=val.log_value,
@@ -330,9 +329,6 @@ def solve_subcritical(
 
 @dataclass(eq=False)
 class MultiplierReport:
-    lambda_eps: float
-    mu_eps: float
-    gammas: np.ndarray
     mu_over_lambda: float
     residual_u: float  # testing the Euler-Lagrange equation with u vs |u|^2 = 1
     residual_const: float  # testing with 1 vs mu Vol = int u e^(beta u^2)
@@ -340,7 +336,7 @@ class MultiplierReport:
 
 
 def multiplier_report(state: MaximizerState) -> MultiplierReport:
-    """Multipliers recomputed from quadrature, checked against the weak form.
+    """The state's multipliers checked against the weak form, on orbit unknowns.
 
     The identities check feasibility, not stationarity: testing the equation
     with u reduces to |u|_(1,alpha) = 1 and mean zero, testing with 1 to mean
@@ -349,37 +345,27 @@ def multiplier_report(state: MaximizerState) -> MultiplierReport:
     Euler-Lagrange defect in the dual norm, is the stationarity measure.
     """
     spec = state.spec
-    ops = spec.ops
-    u = state.u
-    a = ops.lumped
-    t = spec.beta * u * u
-    shift = float(t.max())
-    f_sh = a * u * np.exp(t - shift)
-    lam_sh = float(u @ f_sh)
-    mu_sh = float(np.sum(f_sh)) / ops.mesh.total_area
-    ku = ops.stiffness @ u - spec.alpha * (ops.mass @ u)
-    basis = spec.complement.basis
+    red, basis = spec.red, spec.orbit_basis
+    w = state.u[red.reps]
+    load, _, shift, lam_sh, mu_sh, gammas = _multipliers(spec, w)
+    kw = red.stiffness @ w - spec.alpha * (red.mass @ w)
 
     # test with u: u.(K - aM)u = (1/lam) u.F - (mu/lam) u.a - sum gamma_k u.M e_k
-    rhs_u = 1.0 - (mu_sh / lam_sh) * float(a @ u)
+    rhs_u = 1.0 - (mu_sh / lam_sh) * float(red.lumped @ w)
     if basis.size:
-        rhs_u -= float((basis.T @ (ops.mass @ u)) @ (basis.T @ f_sh)) / lam_sh
-    residual_u = abs(float(u @ ku) - rhs_u)
+        rhs_u -= float((basis.T @ (red.mass @ w)) @ gammas)
+    residual_u = abs(float(w @ kw) - rhs_u)
 
     # test with 1: the equation integrates to zero on both sides
-    residual_const = abs(mu_sh * ops.mesh.total_area - float(np.sum(f_sh))) / max(lam_sh, 1e-300)
-    residual_const += abs(float(np.sum(ku))) / max(lam_sh * np.exp(min(shift, 700.0)), 1.0)
+    residual_const = abs(mu_sh * red.mesh.total_area - float(np.sum(load))) / lam_sh
+    residual_const += abs(float(np.sum(kw))) / max(lam_sh * np.exp(min(shift, 700.0)), 1.0)
 
-    gammas_q = (basis.T @ f_sh) / lam_sh if basis.size else np.zeros(0)
     if basis.size:
-        gammas_weak = gammas_q - (mu_sh / lam_sh) * (basis.T @ a) - basis.T @ ku
-        residual_gammas = np.abs(gammas_weak - gammas_q)
+        gammas_weak = gammas - (mu_sh / lam_sh) * (basis.T @ red.lumped) - basis.T @ kw
+        residual_gammas = np.abs(gammas_weak - gammas)
     else:
         residual_gammas = np.zeros(0)
     return MultiplierReport(
-        lambda_eps=float(lam_sh * np.exp(shift)),
-        mu_eps=float(mu_sh * np.exp(shift)),
-        gammas=gammas_q,
         mu_over_lambda=float(mu_sh / lam_sh),
         residual_u=float(residual_u),
         residual_const=float(residual_const),

@@ -20,10 +20,8 @@ from .discretization import FemOperators, OrbitReduction, remove_mass_mean
 __all__ = [
     "SpectrumError",
     "InvariantSpectrum",
-    "ComplementSpace",
     "invariant_spectrum",
     "rayleigh_quotient",
-    "complement_projector",
 ]
 
 _DENSE_CUTOFF = 1500
@@ -123,28 +121,3 @@ def rayleigh_quotient(u: np.ndarray, ops: FemOperators) -> float:
     if denom <= 0:
         raise SpectrumError("Rayleigh quotient of the zero vector")
     return float(u @ (ops.stiffness @ u)) / denom
-
-
-@dataclass(eq=False)
-class ComplementSpace:
-    """Orthogonal complement of the first ``level - 1`` eigenvalue clusters.
-
-    ``level = 1`` keeps the whole invariant mean-zero space (empty basis).
-    The basis holds invariant vertex vectors; on orbit unknowns it is
-    ``basis[OrbitReduction.reps]``, exactly, which is where the maximizer
-    projects onto the complement.
-    """
-
-    level: int
-    basis: np.ndarray  # (n, m) mass-orthonormal removed directions
-    lambda_level: float  # eigenvalue of cluster ``level`` = gap of the complement
-
-
-def complement_projector(spec: InvariantSpectrum, level: int) -> ComplementSpace:
-    lambda_level = spec.group_value(level)  # raises for a level outside the clusters
-    m = sum(g[1] for g in spec.groups[: level - 1])
-    return ComplementSpace(
-        level=level,
-        basis=spec.eigenvectors[:, :m].copy(),
-        lambda_level=lambda_level,
-    )

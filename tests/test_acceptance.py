@@ -38,7 +38,7 @@ from tmsurf.maximizer import (
     sharpness_probe,
     solve_subcritical,
 )
-from tmsurf.spectrum import complement_projector, invariant_spectrum
+from tmsurf.spectrum import invariant_spectrum
 
 
 # one formatted line per criterion; conftest echoes the table after the run,
@@ -310,9 +310,8 @@ def test_criterion_09c_b_const_convergence(family_reports):
 @pytest.fixture(scope="module")
 def l4_problem(sphere4):
     s = sphere4
-    comp = complement_projector(s.spectrum, 1)
     alpha = 0.25 * s.spectrum.lambda_1
-    spec = ProblemSpec(s.red, comp, alpha, epsilon_sub=2 * np.pi)
+    spec = ProblemSpec(s.red, s.spectrum, 1, alpha, epsilon_sub=2 * np.pi)
     return spec, solve_subcritical(spec, seed="moser", tol=1e-8)
 
 
@@ -359,11 +358,10 @@ def test_criterion_11_orbit_equipartition():
     mesh, action = build_sphere_mesh(5, "antipodal")
     red = orbit_reduction(assemble(mesh), action)
     spec = invariant_spectrum(red, 8)
-    comp = complement_projector(spec, 1)
     alpha = 0.25 * spec.lambda_1
     states = []
     for eps in (2 * np.pi, np.pi, np.pi / 2):
-        problem = ProblemSpec(red, comp, alpha, epsilon_sub=eps)
+        problem = ProblemSpec(red, spec, 1, alpha, epsilon_sub=eps)
         states.append(solve_subcritical(problem, seed="moser", tol=1e-8))
     assert all(st.converged for st in states)
     final = states[-1]
@@ -390,8 +388,7 @@ def test_criterion_12_second_level(sphere4):
         b >= a - 1e-12 for a, b in zip(rates, rates[1:])
     )
 
-    comp = complement_projector(s.spectrum, 2)
-    spec = ProblemSpec(s.red, comp, 0.25 * lam2, epsilon_sub=2 * np.pi)
+    spec = ProblemSpec(s.red, s.spectrum, 2, 0.25 * lam2, epsilon_sub=2 * np.pi)
     state = solve_subcritical(spec, seed="moser", tol=1e-8)
     rep = multiplier_report(state)
     gam = float(np.max(rep.residual_gammas))

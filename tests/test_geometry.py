@@ -1,6 +1,7 @@
 """Meshes, exact group actions, geodesics and interchange formats."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,7 +139,26 @@ def test_torus_too_small():
 def test_max_radius_and_mean_edge(sphere3, torus24):
     assert max_radius(sphere3.mesh) == np.pi
     assert max_radius(torus24.mesh) == 0.5
-    assert 0 < mean_edge_length(torus24.mesh) < 0.1
+    # per triangle two grid sides of 1/24 and one diagonal of sqrt(2)/24
+    want = (2 + np.sqrt(2)) / (3 * 24)
+    assert mean_edge_length(torus24.mesh) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_flat_torus_mesh(128, 128), lambda: build_sphere_mesh(5, "antipodal")],
+    ids=["torus128", "sphere5"],
+)
+def test_mean_edge_length_transient(build):
+    # one side at a time: the lengths themselves (3m floats) plus per-side temporaries
+    mesh, _ = build()
+    tracemalloc.start()
+    try:
+        mean_edge_length(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 3 * mesh.n_triangles * 8
 
 
 def test_off_round_trip_sphere(tmp_path, sphere3):

@@ -13,7 +13,7 @@ import pytest
 
 from tmsurf import discretization
 from tmsurf.constructions import BubbleProfile, green_solve
-from tmsurf.discretization import NormParams, norm_one_alpha, quadratic_form_sq
+from tmsurf.discretization import NormParams, exp_functional, norm_one_alpha, quadratic_form_sq
 from tmsurf.geometry import geodesic_distance, orbit_stats
 from tmsurf.maximizer import (
     MaximizerError,
@@ -27,13 +27,12 @@ from tmsurf.maximizer import (
     solve_subcritical,
 )
 from tmsurf.constructions.radial import RadialModel
-from tmsurf.spectrum import complement_projector, rayleigh_quotient
+from tmsurf.spectrum import rayleigh_quotient
 
 
 def _spec(s, epsilon_sub, level=1, alpha_frac=0.25):
-    comp = complement_projector(s.spectrum, level)
-    alpha = alpha_frac * comp.lambda_level
-    return ProblemSpec(red=s.red, complement=comp, alpha=alpha, epsilon_sub=epsilon_sub)
+    alpha = alpha_frac * s.spectrum.group_value(level)
+    return ProblemSpec(s.red, s.spectrum, level, alpha, epsilon_sub=epsilon_sub)
 
 
 # ---------------------------------------------------------------- quadratic regime
@@ -113,8 +112,7 @@ def test_moderate_epsilon_multipliers(sphere3, moderate_state):
     assert report.residual_u < 1e-12
     assert report.residual_const < 1e-12
     assert report.residual_gammas.size == 0
-    assert report.mu_over_lambda == pytest.approx(report.mu_eps / report.lambda_eps, rel=1e-14)
-    assert report.lambda_eps > 0
+    assert report.mu_over_lambda == pytest.approx(state.mu_eps / state.lambda_eps, rel=1e-14)
 
 
 def test_solver_deterministic(sphere3, moderate_state):
@@ -188,13 +186,13 @@ def test_normalized_competitor(sphere3, moderate_state, rng):
 def test_normalized_competitor_second_level(sphere3, rng):
     # alpha just below the level-2 gap is admissible on the complement
     spec = _spec(sphere3, epsilon_sub=2 * np.pi, level=2, alpha_frac=0.9)
-    ops, removed = sphere3.ops, spec.complement.basis
+    ops, removed = sphere3.ops, sphere3.red.expand(spec.orbit_basis)
     values = rng.standard_normal(ops.n)
     v = normalized_competitor(values, spec)
     assert norm_one_alpha(v, ops, spec.norm_params) == pytest.approx(1.0, abs=1e-10)
     assert abs(ops.lumped @ v) < 1e-10
     assert np.max(np.abs(removed.T @ (ops.mass @ v))) < 1e-10
-    assert rayleigh_quotient(v, ops) > spec.complement.lambda_level * (1 - 1e-8)
+    assert rayleigh_quotient(v, ops) > spec.lambda_level * (1 - 1e-8)
     # components along the removed cluster are annihilated
     np.testing.assert_allclose(normalized_competitor(values + removed.sum(axis=1), spec), v, atol=1e-10)
 
@@ -208,9 +206,51 @@ def test_second_level_multipliers(sphere3):
     assert report.residual_gammas.size == 5
     assert np.max(report.residual_gammas) < 1e-8
     # solution stays orthogonal to the removed cluster
-    basis = spec.complement.basis
+    basis = sphere3.red.expand(spec.orbit_basis)
     overlap = basis.T @ (sphere3.ops.mass @ state.u)
     assert np.max(np.abs(overlap)) < 1e-10
+
+
+def _vertex_reference(state):
+    """lambda, mu, gammas, the functional and the norm of state.u, on vertex vectors."""
+    spec = state.spec
+    ops, u = spec.red.ops, state.u
+    basis = spec.red.expand(spec.orbit_basis)
+    t = spec.beta * u * u
+    shift = float(t.max())
+    f_sh = ops.lumped * u * np.exp(t - shift)
+    lam_sh = float(u @ f_sh)
+    mu_sh = float(np.sum(f_sh)) / ops.mesh.total_area
+    gammas = basis.T @ f_sh / lam_sh if basis.size else np.zeros(0)
+    val = exp_functional(u, spec.beta, ops)
+    return {
+        "lambda_eps": lam_sh * np.exp(shift),
+        "mu_eps": mu_sh * np.exp(shift),
+        "gammas": gammas,
+        "value": val.value,
+        "log_value": val.log_value,
+        "norm": norm_one_alpha(u, ops, spec.norm_params),
+    }
+
+
+@pytest.mark.parametrize(
+    "setup, level", [("sphere3", 1), ("sphere3", 2), ("sphere3_dihedral4", 2)]
+)
+def test_state_matches_vertex_reference(request, setup, level):
+    # the state is computed on orbit unknowns; the vertex formulas must agree
+    s = request.getfixturevalue(setup)
+    spec = _spec(s, epsilon_sub=2 * np.pi, level=level)
+    state = solve_subcritical(spec, seed="moser")
+    assert state.converged
+    ref = _vertex_reference(state)
+    for name in ("lambda_eps", "mu_eps", "value", "log_value"):
+        assert getattr(state, name) == pytest.approx(ref[name], rel=1e-13), name
+    w = state.u[s.red.reps]
+    assert norm_one_alpha(w, s.red, spec.norm_params) == pytest.approx(ref["norm"], rel=1e-13)
+    assert state.gammas.shape == ref["gammas"].shape == (spec.orbit_basis.shape[1],)
+    np.testing.assert_allclose(state.gammas, ref["gammas"], rtol=0, atol=1e-13)
+    report = multiplier_report(state)
+    assert report.mu_over_lambda == pytest.approx(ref["mu_eps"] / ref["lambda_eps"], rel=1e-13)
 
 
 # ---------------------------------------------------------------- blow-up diagnostics

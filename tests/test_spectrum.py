@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from tmsurf.spectrum import (
-    SpectrumError,
-    complement_projector,
-    invariant_spectrum,
-    rayleigh_quotient,
-)
+from tmsurf.maximizer import ProblemSpec
+from tmsurf.spectrum import SpectrumError, invariant_spectrum, rayleigh_quotient
 
 
 def test_sphere_trivial_spectrum(sphere3_trivial):
@@ -67,21 +63,25 @@ def test_count_validation(sphere3):
         invariant_spectrum(sphere3.red, count=10**6)
 
 
+def _problem(s, level):
+    return ProblemSpec(s.red, s.spectrum, level, alpha=0.0, epsilon_sub=2 * np.pi)
+
+
 def test_complement_level_one_is_whole_space(sphere3):
-    comp = complement_projector(sphere3.spectrum, 1)
-    assert comp.basis.shape == (sphere3.ops.n, 0)
-    assert comp.lambda_level == sphere3.spectrum.lambda_1
+    spec = _problem(sphere3, 1)
+    assert spec.orbit_basis.shape == (sphere3.red.n, 0)
+    assert spec.lambda_level == sphere3.spectrum.lambda_1
 
 
 def test_complement_level_two_removes_first_cluster(sphere3):
     # the projection onto the complement is checked in test_maximizer
-    spec = sphere3.spectrum
-    comp = complement_projector(spec, 2)
-    m1 = spec.groups[0][1]
-    assert comp.lambda_level == spec.group_value(2)
-    np.testing.assert_array_equal(comp.basis, spec.eigenvectors[:, :m1])
+    spectrum = sphere3.spectrum
+    spec = _problem(sphere3, 2)
+    m1 = spectrum.groups[0][1]
+    assert spec.lambda_level == spectrum.group_value(2)
+    np.testing.assert_array_equal(spec.orbit_basis, spectrum.eigenvectors[sphere3.red.reps, :m1])
 
 
 def test_complement_level_out_of_range(sphere3):
     with pytest.raises(SpectrumError):
-        complement_projector(sphere3.spectrum, 99)
+        _problem(sphere3, 99)
