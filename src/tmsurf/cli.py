@@ -421,8 +421,10 @@ def _stage_sharpness(ctx: Context) -> None:
     )
 
 
-# Stages that solve with the factorization ctx.red holds; it is dropped after the last.
-_SOLVER_STAGES = {"green", "maximize"}
+# Stages that solve with the factorization ctx.red holds (the spectrum's at its
+# shift-invert pole, then Green's and the maximizer's at their alpha); it is
+# dropped after the last of them that the run still needs.
+_SOLVER_STAGES = {"spectrum", "green", "maximize"}
 
 # Stage name -> (function, stages it needs), in execution order.
 STAGES = {

@@ -48,20 +48,34 @@ def invariant_shifted_solver(red: OrbitReduction, alpha: float) -> Callable[[np.
     vector, so the invariance of ``red.expand(w)`` is exact by construction.
     For alpha = 0 the operator is singular along constants; the factorization
     then carries a mean-zero multiplier row, which leaves balanced loads
-    (sum b = 0) unchanged. The factorization lives as long as the returned
-    solver; ``OrbitReduction.shifted_solver`` holds one per alpha.
+    (sum b = 0) unchanged. The operator is factored in the nested-dissection
+    ``red.order`` that ``orbit_reduction`` computed, the multiplier last, with
+    SuperLU's threshold pivoting kept. This is the one sparse factorization of
+    the program: the spectrum's shift-invert operator is its solver at
+    alpha = -0.5. The factorization lives as long as the returned solver;
+    ``OrbitReduction.shifted_solver`` holds one per alpha.
     """
-    shifted = (red.stiffness - alpha * red.mass).tocsc()
+    shifted = red.stiffness - alpha * red.mass
+    p = red.order
     if alpha == 0.0:
-        w = red.lumped.reshape(-1, 1)
-        kkt = sp.bmat([[shifted, sp.csc_matrix(w)], [sp.csc_matrix(w.T), None]], format="csc")
-        lu = spla.splu(kkt)
-        return lambda b: lu.solve(np.append(b, 0.0))[:-1]
+        a = sp.csr_matrix(red.lumped.reshape(-1, 1))
+        shifted = sp.bmat([[shifted, a], [a.T, None]], format="csr")
+        p = np.append(p, red.n)
     try:
-        lu = spla.splu(shifted)
+        lu = spla.splu(shifted[p][:, p].tocsc(), permc_spec="NATURAL",
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise GreenError(f"shifted operator is singular at alpha={alpha}: {exc}") from exc
-    return lu.solve
+
+    n = red.n
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.zeros(len(p))
+        x[:n] = b
+        x[p] = lu.solve(x[p])
+        return x[:n]
+
+    return solve
 
 
 @dataclass(eq=False)

@@ -1,8 +1,9 @@
 """P1 finite elements on surface meshes.
 
 Cotangent stiffness and consistent/lumped mass matrices, their reduction to
-orbit unknowns, the invariant mean-zero projection, the gradient norm with
-spectral shift, and the overflow-safe exponential functional. Assembly
+orbit unknowns with a fill-reducing order of the orbit graph, the invariant
+mean-zero projection, the gradient norm with spectral shift, and the
+overflow-safe exponential functional. Assembly
 accumulates every matrix entry in value-sorted order, so the operators
 commute with the group's permutation matrices bitwise.
 """
@@ -14,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from ._sums import grouped_sorted_sum, segment_sorted_sum, sorted_sum
 from .geometry import GroupAction, SurfaceMesh, triangle_corners, triangle_edge_sq
@@ -32,6 +34,10 @@ __all__ = [
     "norm_one_alpha",
     "exp_functional",
 ]
+
+
+# Parts of the orbit graph at most this large are not dissected further.
+_ND_LEAF = 64
 
 
 class DiscretizationError(ValueError):
@@ -135,15 +141,17 @@ class OrbitReduction(FemOperators):
     S^T K S, S^T M S and the orbit areas S^T a take the places of K, M and a,
     so ``quadratic_form_sq``, ``norm_one_alpha``, ``exp_functional`` and
     ``remove_mass_mean`` take w in place of u.  It keeps the vertex operators
-    ``ops`` and the ``action`` it was reduced from, and at most one
-    factorization of K_r - alpha M_r (see ``shifted_solver``), which the
-    spectrum, Green and maximizer layers share.
+    ``ops`` and the ``action`` it was reduced from, the nested-dissection
+    ``order`` of the orbit graph that ``orbit_reduction`` computes once, and at
+    most one factorization of K_r - alpha M_r in that order (see
+    ``shifted_solver``), which the spectrum, Green and maximizer layers share.
     """
 
     S: sp.csr_matrix  # (n, n_orbits) orbit indicator
     reps: np.ndarray  # first vertex of each orbit; u[reps] is exact for invariant u
     ops: FemOperators
     action: GroupAction
+    order: np.ndarray  # fill-reducing permutation of the orbits, see _nested_dissection
     held: tuple | None = None  # (alpha, solve) of the one factorization kept
 
     @property
@@ -157,10 +165,12 @@ class OrbitReduction(FemOperators):
         return self.S.T @ b
 
     def shifted_solver(self, alpha: float):
-        """The solver of (K_r - alpha M_r) w = b, factored once per alpha.
+        """The solver of (K_r - alpha M_r) w = b, factored once per alpha in ``order``.
 
-        A new alpha releases the held factorization before building its own;
-        setting ``held`` to None releases it when no caller needs it any more.
+        The spectrum's shift-invert operator is the solver at alpha = -0.5; the
+        Green and maximizer stages' alpha replaces it.  A new alpha releases the
+        held factorization before building its own; setting ``held`` to None
+        releases it when no caller needs it any more.
         """
         if self.held is None or self.held[0] != alpha:
             self.held = None
@@ -179,7 +189,53 @@ def orbit_reduction(ops: FemOperators, action: GroupAction) -> OrbitReduction:
     M_red = (S.T @ ops.mass @ S).tocsr()
     reps = np.unique(action.orbit_index, return_index=True)[1]
     return OrbitReduction(mesh=ops.mesh, stiffness=K_red, mass=M_red, lumped=S.T @ ops.lumped,
-                          S=S, reps=reps, ops=ops, action=action)
+                          S=S, reps=reps, ops=ops, action=action,
+                          order=_nested_dissection(K_red + M_red))
+
+
+def _nested_dissection(pattern: sp.spmatrix) -> np.ndarray:
+    """Nested-dissection order of the graph of a symmetric sparse pattern.
+
+    Each connected part larger than ``_ND_LEAF`` is split at the middle level
+    set of a breadth-first search from a pseudo-peripheral vertex, the one
+    farthest from the part's lowest-numbered vertex (George, SIAM J. Numer.
+    Anal. 1973); the two sides are ordered first, recursively, and the
+    separator after both.  Every part of one recursion depth is split at
+    once: column r of ``keys`` is (component label, side) at depth r, and
+    sorting the vertices by their columns puts each separator after the two
+    sides it splits.  It uses only hop counts and component labels, so the
+    order is deterministic and does not depend on the BLAS thread count.
+    """
+    g = sp.coo_matrix(pattern)
+    n = g.shape[0]
+    off_diagonal = g.row != g.col
+    rows, cols = g.row[off_diagonal], g.col[off_diagonal]
+    active = np.ones(n, dtype=bool)  # not yet in a separator or a leaf
+    key = np.zeros(n, dtype=np.int64)
+    keys = []
+    while active.any():
+        keep = active[rows] & active[cols] & (key[rows] == key[cols])  # edges inside one part
+        rows, cols = rows[keep], cols[keep]
+        graph = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+        comp = csgraph.connected_components(graph, directed=False)[1]
+        split = active & (np.bincount(comp)[comp] > _ND_LEAF)
+        side = np.zeros(n, dtype=np.int64)  # 0 first half, 1 second half, 2 separator
+        if split.any():
+            idx = np.flatnonzero(split)
+            part = comp[idx]
+            roots = idx[np.unique(part, return_index=True)[1]]
+            for _ in range(2):  # from each part's first vertex to its farthest, then that one's levels
+                level = csgraph.dijkstra(graph, indices=roots, unweighted=True, min_only=True)[idx]
+                far = np.lexsort((-level, part))
+                far = far[np.r_[True, np.diff(part[far]) != 0]]  # lowest index on ties
+                roots = idx[far]
+            mid = np.zeros(n)
+            mid[part[far]] = level[far] // 2
+            side[idx] = np.where(level < mid[part], 0, np.where(level > mid[part], 1, 2))
+        key = np.where(active, 3 * comp + side, 0)
+        keys.append(key)
+        active = split & (side != 2)
+    return np.lexsort(keys[::-1])
 
 
 def project_invariant_meanzero(u: np.ndarray, ops: FemOperators, action: GroupAction) -> np.ndarray:

@@ -5,6 +5,12 @@ vectors. The restriction is realized on the orbit-constant subspace (one
 unknown per orbit), which keeps the solve small and makes invariance of the
 returned eigenvectors exact by construction. The constant mode appears there
 as an exact zero eigenvalue and is removed.
+
+Small orbit spaces take dense ``eigh``. Larger ones take shift-invert
+``eigsh`` at sigma = -0.5, whose inverse operator is the orbit space's held
+solver ``red.shifted_solver(-0.5)``: the one sparse factorization path, in the
+nested-dissection order ``orbit_reduction`` computed. A later Green or
+maximizer alpha replaces that factorization.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ __all__ = [
 ]
 
 _DENSE_CUTOFF = 1500
+_SHIFT = -0.5  # shift-invert pole below the zero eigenvalue, so K - _SHIFT M is definite
 _GROUP_RTOL = 1e-6
 _RESIDUAL_TOL = 1e-8
 
@@ -78,9 +85,11 @@ def invariant_spectrum(red: OrbitReduction, count: int, seed: int = 0) -> Invari
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n_orb)
+        op_inv = spla.LinearOperator((n_orb, n_orb), matvec=red.shifted_solver(_SHIFT), dtype=float)
         try:
             vals, vecs = spla.eigsh(
-                red.stiffness, k=k_req, M=red.mass, sigma=-0.5, which="LM", v0=v0, maxiter=5000
+                red.stiffness, k=k_req, M=red.mass, sigma=_SHIFT, which="LM", v0=v0, maxiter=5000,
+                OPinv=op_inv,
             )
         except spla.ArpackNoConvergence as exc:  # pragma: no cover
             raise SpectrumError(f"eigensolver did not converge: {exc}") from exc

@@ -61,6 +61,11 @@ def sphere4_trivial() -> Setup:
 
 
 @pytest.fixture(scope="session")
+def sphere5() -> Setup:
+    return _setup(build_sphere_mesh, 5, "antipodal")
+
+
+@pytest.fixture(scope="session")
 def torus24() -> Setup:
     return _setup(build_flat_torus_mesh, 24, 24, count=6)
 

@@ -4,6 +4,7 @@ Every invocation goes through ``cli.main`` in-process so coverage and error
 paths stay visible to the test runner.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -410,6 +411,27 @@ def test_green_and_maximize_share_one_factorization(tmp_path, monkeypatch):
                  "maximize": {"alpha": 1.0, "epsilon_sub": 2 * np.pi}}
     ctx = cli.run_stages(cli.Context(own_alpha), ["green", "maximize"])
     assert len(calls) == 3
+    assert ctx.red.held is None
+
+    # level 5 takes eigsh, whose shift-invert operator is the orbit space's
+    # solver at -0.5; the Green alpha replaces it, and nothing else factors
+    del calls[:]
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+    hidden = []
+    for module, names in ((arpack, ("splu", "lu_factor", "gmres")),
+                          (scipy.sparse.linalg, ("spilu", "factorized"))):
+        for name in names:
+            monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), _name=name, **k:
+                                hidden.append(_name) or _f(*a, **k))
+    level5 = {"surface": {"kind": "sphere", "level": 5}, "group": "antipodal",
+              "alpha": {"gap_fraction": 0.25, "level": 1}}
+    ctx = cli.run_stages(cli.Context(level5), ["green"])
+    assert hidden == []
+    red, p = ctx.red, ctx.red.order
+    assert len(calls) == 2
+    for (factored,), alpha in zip(calls, (-0.5, ctx.dec.alpha)):
+        want = (red.stiffness - alpha * red.mass)[p][:, p]
+        assert abs(factored - want).max() == 0.0
     assert ctx.red.held is None
 
 

@@ -21,6 +21,7 @@ from tmsurf.constructions import (
     extract_A,
     green_l2_norm_sq,
     green_solve,
+    invariant_shifted_solver,
     log_integral_exp,
     min_orbit_separation,
     moser_evaluate,
@@ -314,6 +315,25 @@ def _torus_green_exact(x, y):
     z = (x % 1.0) + 1j * (y % 1.0)
     z = np.where(np.abs(z) < 1e-300, 1.0, z)  # source point, masked by caller
     return -_theta1_abs_log(z) / (2 * np.pi) + np.imag(z) ** 2 / 2.0 - mean_f
+
+
+def test_shifted_solver_residuals(sphere5):
+    # SuperLU's threshold pivoting stays on: with diag_pivot_thresh=0 the
+    # bordered alpha = 0 factorization pivots on the ~1e-13 last pivot of the
+    # singular K_r, and the unbalanced load below comes back with a lumped
+    # mean of order 0.1 instead of 0
+    red = sphere5.red
+    rng = np.random.default_rng(7)
+    for alpha in (0.0, -0.5, 0.25 * sphere5.spectrum.lambda_1):
+        solve = invariant_shifted_solver(red, alpha)
+        b = rng.standard_normal(red.n)
+        loads = [b - b.mean(), b] if alpha == 0.0 else [b]  # a balanced one, then any
+        for load in loads:
+            w = solve(load)
+            r = red.stiffness @ w - alpha * (red.mass @ w) - load
+            if alpha == 0.0:  # residual of the bordered system: the multiplier takes the mean
+                r = np.append(r + red.lumped * load.sum() / red.lumped.sum(), red.lumped @ w)
+            assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(load), (alpha, np.linalg.norm(r))
 
 
 # regular constant of the unit-torus Green function in closed form

@@ -5,12 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from tmsurf.constructions import invariant_shifted_solver
 from tmsurf.discretization import (
     NormParams,
     assemble,
     exp_functional,
     norm_one_alpha,
+    orbit_reduction,
     project_invariant_meanzero,
     quadratic_form_sq,
 )
@@ -73,6 +76,30 @@ def test_assembly_transient_memory():
         for part in (matrix.data, matrix.indices, matrix.indptr)
     )
     assert peak <= 5 * returned, peak / returned
+
+
+@pytest.mark.parametrize("surface, max_ratio", [("sphere5", 1.0), ("torus128", 0.7)])
+def test_nested_dissection_order(surface, max_ratio, request, monkeypatch):
+    # one fill-reducing order per orbit space: a permutation, the same on every
+    # build, and sparser factors of K_r + 0.5 M_r than SuperLU's COLAMD
+    # (measured 0.73x on the level-5 sphere and 0.60x on the 128^2 torus)
+    if surface == "sphere5":
+        setup = request.getfixturevalue("sphere5")
+        ops, action = setup.ops, setup.action
+    else:
+        mesh, action = build_flat_torus_mesh(128, 128, group_kind="shift(64,0)+shift(0,64)")
+        ops = assemble(mesh)
+    red = orbit_reduction(ops, action)
+    assert np.array_equal(np.sort(red.order), np.arange(red.n))
+    assert np.array_equal(orbit_reduction(ops, action).order, red.order)
+    factors = []  # the factorization invariant_shifted_solver builds
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: factors.append(splu(*a, **k)) or factors[-1])
+    invariant_shifted_solver(red, -0.5)
+    (held,) = factors
+    colamd = splu((red.stiffness + 0.5 * red.mass).tocsc())
+    ratio = (held.L.nnz + held.U.nnz) / (colamd.L.nnz + colamd.U.nnz)
+    assert ratio < max_ratio, ratio
 
 
 def test_dirichlet_energy_of_coordinate_function(sphere4_trivial):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tmsurf.maximizer import ProblemSpec
 from tmsurf.spectrum import SpectrumError, invariant_spectrum, rayleigh_quotient
@@ -48,6 +49,15 @@ def test_eigenvectors_orthonormal_meanzero_invariant(sphere3):
     for i in range(E.shape[1]):
         rq = rayleigh_quotient(E[:, i], ops)
         assert rq == pytest.approx(spec.eigenvalues[i], rel=1e-10)
+
+
+def test_sparse_path_matches_dense(sphere4_trivial):
+    # 2562 orbits take the shift-invert eigsh path on the orbit space's held solver
+    red, spec = sphere4_trivial.red, sphere4_trivial.spectrum
+    count = len(spec.eigenvalues)
+    dense = scipy.linalg.eigh(red.stiffness.toarray(), red.mass.toarray(),
+                              subset_by_index=[1, count], eigvals_only=True)
+    np.testing.assert_allclose(spec.eigenvalues, dense, rtol=1e-10, atol=0)
 
 
 def test_spectrum_is_deterministic(sphere3):
