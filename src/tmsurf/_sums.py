@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sorted_sum", "sorted_dot", "segment_sorted_sum", "grouped_sorted_sum"]
+__all__ = ["sorted_sum", "sorted_dot", "segment_sorted_sum"]
 
 
 def sorted_sum(values):
@@ -50,13 +50,3 @@ def segment_sorted_sum(index, values, size):
     out[idx[starts]] = np.add.reduceat(val, starts)
     return out
 
-
-def grouped_sorted_sum(keys, values):
-    """Per-key sums with value-sorted accumulation; returns (unique_keys, sums)."""
-    keys = np.asarray(keys).ravel()
-    values = np.asarray(values, dtype=float).ravel()
-    order = np.lexsort((values, keys))
-    k = keys[order]
-    v = values[order]
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    return k[starts], np.add.reduceat(v, starts)

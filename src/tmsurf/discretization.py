@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from ._sums import grouped_sorted_sum, segment_sorted_sum, sorted_sum
+from ._sums import segment_sorted_sum, sorted_sum
 from .geometry import GroupAction, SurfaceMesh, triangle_corners, triangle_edge_sq
 
 __all__ = [
@@ -116,10 +116,20 @@ def assemble(mesh: SurfaceMesh) -> FemOperators:
             np.multiply(tri[:, a], n, out=keys[block])
             keys[block] += tri[:, b]
             np.negative(cot_w[:, i], out=kvals[block])
-    uk, ksums = grouped_sorted_sum(keys, kvals)
-    del kvals
-    _, msums = grouped_sorted_sum(keys, np.tile(area / 12.0, 6))
+    # On a closed mesh each key occurs exactly twice, once per triangle at its
+    # edge; a sum of two terms rounds the same in either order, so one key
+    # sort serves K and M and equals the value-sorted sum bitwise.
+    order = np.argsort(keys, kind="stable")
+    first, second = order[0::2], order[1::2]
+    uk = keys[first]
+    if not (np.array_equal(uk, keys[second]) and np.all(uk[1:] != uk[:-1])):
+        raise DiscretizationError("mesh is not closed: an edge is not shared by exactly two triangles")
     del keys
+    ksums = kvals[first] + kvals[second]
+    del kvals
+    area12 = area / 12.0
+    msums = area12[first % m] + area12[second % m]  # summand s lies in triangle s % m
+    del order, first, second
     # diagonals accumulated separately so each is a value-sorted multiset sum
     kdiag = segment_sorted_sum(tri.T[[1, 2, 0, 2, 0, 1]], np.tile(cot_w.T, (2, 1)), n)
     del cot_w

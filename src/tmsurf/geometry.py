@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -380,15 +379,36 @@ def _orbits_from_perms(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return orbit_index.astype(np.int64), np.bincount(orbit_index).astype(np.int64)
 
 
-def _sorted_triangles(tris: np.ndarray) -> np.ndarray:
-    rows = np.sort(tris, axis=1)
-    return rows[np.lexsort(rows.T[::-1])]
-
-
 def _check_triangle_equivariance(tris: np.ndarray, perms: np.ndarray, name: str) -> None:
-    canon = _sorted_triangles(tris)
+    """Require every permutation to map the triangle set onto itself.
+
+    A triangle with sorted corners a < b < c gets the exact int64 key
+    rank(a*n + b) * n + c, the rank being the first position of a*n + b among
+    the mesh's own sorted (a, b) pairs; it stays below m n, where
+    (a*n + b)*n + c would overflow for n >= 2**21.  An image pair missing
+    from the mesh already fails.
+    """
+    n = perms.shape[1]
+    identity = np.arange(n)
+
+    def pair_and_corner(corners):  # (3, m) corner indices -> (a*n + b, c)
+        x, y, z = corners
+        a = np.minimum(np.minimum(x, y), z)
+        c = np.maximum(np.maximum(x, y), z)
+        return a * n + (x + y + z - a - c), c
+
+    pairs, corner = pair_and_corner(tris.T)
+    known = np.sort(pairs, kind="stable")
+    canon = np.sort(np.searchsorted(known, pairs) * n + corner, kind="stable")
     for p in perms:
-        if not np.array_equal(canon, _sorted_triangles(p[tris])):
+        if np.array_equal(p, identity):
+            continue
+        pairs, corner = pair_and_corner(p[tris.T])
+        rank = np.minimum(np.searchsorted(known, pairs), len(known) - 1)
+        if not (
+            np.array_equal(known[rank], pairs)
+            and np.array_equal(canon, np.sort(rank * n + corner, kind="stable"))
+        ):
             raise GroupError(f"group {name!r} does not preserve the triangle set")
 
 
@@ -641,7 +661,10 @@ def write_off(mesh: SurfaceMesh, path) -> None:
         fh.write(("3 %d %d %d\n" * mesh.n_triangles) % tuple(mesh.triangles.ravel().tolist()))
 
 
-_COMMENT_RE = re.compile(r"#([^\n]*)")
+# a comment runs to the end of its line; \r ends it too, as universal newlines would
+_COMMENT_RE = re.compile(rb"#([^\r\n]*)")
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[list(b" \t\n\v\f\r")] = True
 
 
 def _surface_tag(comments) -> tuple:
@@ -662,30 +685,70 @@ def _surface_tag(comments) -> tuple:
     return surface
 
 
+def _tokens(data: bytes) -> tuple[np.ndarray, bool]:
+    """Offset of every token (run of non-ASCII-whitespace bytes) in ``data``,
+    and whether some token is a lone ``+`` or ``-``, which numpy's integer
+    reader would take for 0 or join to the number after it."""
+    byte = np.frombuffer(data, dtype=np.uint8)
+    space = np.ones(len(data) + 1, dtype=bool)  # one past the end counts as space
+    space[:-1] = _ASCII_SPACE[byte]
+    start = ~space
+    start[1:] &= space[:-1]
+    starts = np.flatnonzero(start)
+    del start
+    first = byte[starts]
+    lone_sign = bool(np.any(((first == ord("+")) | (first == ord("-"))) & space[starts + 1]))
+    return starts, lone_sign
+
+
+def _numbers(data: bytes, dtype, count: int) -> np.ndarray:
+    """Exactly ``count`` ASCII literals, or ValueError.
+
+    numpy raises at unmatched bytes (older versions stop reading there), and a
+    lone sign is the one token it reads as other than one number.
+    """
+    values = np.fromstring(data, dtype, sep=" ")
+    if values.size != count:
+        raise ValueError(f"read {values.size} numbers, expected {count}")
+    return values
+
+
 def read_off(path) -> SurfaceMesh:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise MeshError("OFF file is not text") from None
-    surface = _surface_tag(_COMMENT_RE.findall(text))
-    # one copy of the text at a time: the tokens alone are ~100 MB on a 384^2 torus
-    text = _COMMENT_RE.sub("", text)
-    tokens = text.split()
-    del text
-    if not tokens or tokens[0] != "OFF":
+    """Read a closed triangle mesh; every malformed file raises MeshError.
+
+    Numbers are ASCII decimal literals separated by ASCII whitespace, and
+    face entries are integers.  The file is held once as bytes and its
+    blocks are parsed by numpy's C readers, with no Python object per token.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError:
+            raise MeshError("OFF file is not text") from None
+    surface = _surface_tag(c.decode() for c in _COMMENT_RE.findall(data))
+    data = _COMMENT_RE.sub(b"", data)
+    starts, lone_sign = _tokens(data)
+    if not starts.size or data[starts[0] : starts[0] + 4].split()[:1] != [b"OFF"]:
         raise MeshError("not an OFF file")
     try:
-        nv, nf, _ = map(int, tokens[1:4])
+        if lone_sign:
+            raise ValueError("a sign without digits")
+        if starts.size < 5:
+            raise ValueError("the header needs three counts and data after them")
+        nv, nf, _ = _numbers(data[starts[1] : starts[4]], np.int64, 3).tolist()
         if nv < 1 or nf < 1:
             raise ValueError(f"header counts {nv} vertices and {nf} faces")
-        if len(tokens) != 4 + 3 * nv + 4 * nf:
-            raise ValueError(f"{len(tokens) - 4} numbers after the header, expected {3 * nv + 4 * nf}")
-        verts = np.fromiter(map(float, islice(tokens, 4, 4 + 3 * nv)), np.float64, 3 * nv)
-        faces = np.fromiter(map(int, islice(tokens, 4 + 3 * nv, None)), np.int64, 4 * nf)
-        verts, faces = verts.reshape(nv, 3), faces.reshape(nf, 4)
-    except (ValueError, OverflowError) as exc:
+        if starts.size != 4 + 3 * nv + 4 * nf:
+            raise ValueError(f"{starts.size - 4} numbers after the header, expected {3 * nv + 4 * nf}")
+        split = starts[4 + 3 * nv]
+        verts = _numbers(data[starts[4] : split], np.float64, 3 * nv).reshape(nv, 3)
+        del starts
+        faces = _numbers(data[split:], np.int64, 4 * nf).reshape(nf, 4)
+    except ValueError as exc:
         raise MeshError(f"malformed OFF file (triangle faces only): {exc}") from None
+    del data
     if not np.all(np.isfinite(verts)):
         raise MeshError("OFF vertex coordinates must be finite")
     if np.any(faces[:, 0] != 3):

@@ -202,7 +202,7 @@ def test_config_errors_exit_2(tmp_path):
 _TETRAHEDRON = "OFF\n4 4 0\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
 
 
-def test_bad_group_exits_2(tmp_path):
+def test_bad_group_exits_2(tmp_path, capsys):
     argv = ["mesh", "--surface", "sphere", "--level", "2", "--group", "cyclic(5)",
             "--out", str(tmp_path / "m.off")]
     assert cli.main(argv) == 2
@@ -222,6 +222,17 @@ def test_bad_group_exits_2(tmp_path):
         perms.write_text(json.dumps({"permutations": rows}))
         assert cli.main(["mesh", "--mesh", str(sphere), "--perms", str(perms),
                          "--out", str(tmp_path / "s2.off")]) == 2
+
+    # the same swap on a 3x4 torus: only the triangle-set check can reject it
+    torus = tmp_path / "t.off"
+    assert cli.main(["mesh", "--surface", "torus", "--nx", "3", "--ny", "4", "--out", str(torus)]) == 0
+    swap = list(range(12))
+    swap[0], swap[1] = 1, 0
+    perms.write_text(json.dumps({"name": "swap", "permutations": [sorted(swap), swap]}))
+    capsys.readouterr()
+    assert cli.main(["mesh", "--mesh", str(torus), "--perms", str(perms),
+                     "--out", str(tmp_path / "t2.off")]) == 2
+    assert "group 'swap' does not preserve the triangle set" in capsys.readouterr().err
 
 
 def test_non_isometric_group_exits_2(tmp_path):

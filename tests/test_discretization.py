@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from tmsurf.constructions import invariant_shifted_solver
 from tmsurf.discretization import (
+    DiscretizationError,
     NormParams,
     assemble,
     exp_functional,
@@ -17,7 +18,14 @@ from tmsurf.discretization import (
     project_invariant_meanzero,
     quadratic_form_sq,
 )
-from tmsurf.geometry import build_flat_torus_mesh, build_sphere_mesh
+from tmsurf.geometry import (
+    SurfaceMesh,
+    build_flat_torus_mesh,
+    build_sphere_mesh,
+    triangle_areas,
+    triangle_corners,
+    triangle_edge_sq,
+)
 
 
 def test_stiffness_annihilates_constants(sphere3, torus24):
@@ -60,6 +68,69 @@ def test_operator_golden_bytes(sphere3):
     for name, (k_digest, m_digest) in GOLDEN_OPERATORS.items():
         assert _csr_sha256(ops[name].stiffness) == k_digest, name
         assert _csr_sha256(ops[name].mass) == m_digest, name
+
+
+def _grouped_sorted_sum(keys, values):
+    """Per-key sums accumulated in value order: the assembly formula before one
+    key sort replaced it."""
+    order = np.lexsort((values, keys))
+    k, v = keys[order], values[order]
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    return k[starts], np.add.reduceat(v, starts)
+
+
+@pytest.mark.parametrize("name", ["sphere3", "torus24", "sphere3_dihedral4"])
+def test_off_diagonals_match_value_sorted_sums(name, request):
+    ops = request.getfixturevalue(name).ops
+    mesh, n = ops.mesh, ops.n
+    sq = triangle_edge_sq(triangle_corners(mesh))
+    area, tri = mesh.face_areas, mesh.triangles
+    keys, kvals = [], []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        cot = (sq[:, j] + sq[:, k] - sq[:, i]) / (8.0 * area)
+        for a, b in ((j, k), (k, j)):
+            keys.append(tri[:, a] * n + tri[:, b])
+            kvals.append(-cot)
+    keys = np.concatenate(keys)
+    uk, ksums = _grouped_sorted_sum(keys, np.concatenate(kvals))
+    _, msums = _grouped_sorted_sum(keys, np.tile(area / 12.0, 6))
+    for matrix, want in ((ops.stiffness, ksums), (ops.mass, msums)):
+        coo = matrix.tocoo()
+        off = coo.row != coo.col
+        got_keys = coo.row[off].astype(np.int64) * n + coo.col[off]
+        order = np.argsort(got_keys)
+        assert np.array_equal(got_keys[order], uk)
+        assert np.array_equal(coo.data[off][order].view(np.int64), want.view(np.int64))
+
+
+def _hand_built(verts, tris) -> SurfaceMesh:
+    mesh = SurfaceMesh(
+        vertices=np.array(verts, dtype=float),
+        triangles=np.array(tris, dtype=np.int64),
+        vertex_areas=np.zeros(len(verts)),
+        face_areas=np.zeros(len(tris)),
+        total_area=0.0,
+        surface_kind="imported",
+    )
+    mesh.face_areas = triangle_areas(mesh)
+    return mesh
+
+
+TET_VERTS = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+TET_TRIS = [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)]
+
+
+def test_assemble_rejects_meshes_that_are_not_closed():
+    assert assemble(_hand_built(TET_VERTS, TET_TRIS)).stiffness.nnz == 16
+    # one face missing: three edges bound a single triangle
+    with pytest.raises(DiscretizationError, match="not closed"):
+        assemble(_hand_built(TET_VERTS, TET_TRIS[:3]))
+    # two tetrahedra glued along the edge (0, 1): it bounds four triangles
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0), (0, 0, -1)]
+    tris = [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2), (0, 4, 1), (0, 1, 5), (0, 5, 4), (1, 4, 5)]
+    with pytest.raises(DiscretizationError, match="not closed"):
+        assemble(_hand_built(verts, tris))
 
 
 def test_assembly_transient_memory():

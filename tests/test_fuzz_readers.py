@@ -11,6 +11,8 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,8 @@ FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None
 OFF_JUNK = [
     "nan", "-nan", "inf", "1e999", "-1", "-3", "0", "3", "4", "1.5", "-0.0", "abc", "OFF",
     "99999999999999999999999", "#", "#", "# sphere level", "# torus periods 1", "torus", "\n",
+    # tokens that Python's float()/int() and numpy's C readers treat differently
+    "1_0", "+3", "3.0", "1e2", "0x10", "\u0663", "\u00a0", "-", "+",
 ]
 JSON_JUNK = [
     "NaN", "Infinity", "1e999", "-1", "0", "1", "2", "3", "4", "1.5", "true", "null", '"x"',
@@ -125,3 +129,32 @@ def test_unmutated_bases_are_valid(tmp_path):
     action = read_group_json(tmp_path / "g.json", mesh.n_vertices)
     check_group_action(mesh, action)
     assert action.order == 3
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("3 0 3 1", "3 0 3.0 1"),  # a face entry must be an integer literal
+        ("3 0 3 1", "3 0 \u0663 1"),  # an Arabic-Indic digit three
+        ("-1 1 -1", "-1 \u0661 -1"),  # an Arabic-Indic digit one
+        ("-1 1 -1", "-1\u00a01 -1"),  # a non-ASCII space
+        ("3 1 3 2\n", "3 1 3 -\n"),  # a lone sign, which numpy's reader takes for 0
+        ("3 0 3 1", "3 0 - 3 1"),  # a lone sign, which numpy's reader joins to the 3
+        ("1 1 1", "1 1_0 1"),  # Python's digit grouping
+    ],
+    ids=["float_face", "arabic_face", "arabic_coord", "nbsp", "trailing_sign", "split_sign", "underscore"],
+)
+def test_read_off_rejects_non_ascii_decimal_literals(tmp_path, old, new):
+    assert old in TETRAHEDRON
+    path = tmp_path / "tet.off"
+    path.write_text(TETRAHEDRON.replace(old, new))
+    with pytest.raises(MeshError, match="malformed"):
+        read_off(path)
+
+
+def test_read_off_reads_signed_and_exponent_literals(tmp_path):
+    path = tmp_path / "tet.off"
+    path.write_text(TETRAHEDRON.replace("1 1 1", "+0.5 1e-3 +1", 1).replace("3 0 1 2", "+3 0 +1 2"))
+    mesh = read_off(path)
+    assert mesh.vertices[0].tolist() == [0.5, 0.001, 1.0]
+    assert np.array_equal(mesh.triangles[0], [0, 1, 2])
