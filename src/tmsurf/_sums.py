@@ -5,14 +5,15 @@ invariants promise bitwise equality between a quantity and its image under
 the group (lumped areas, operator entries, projected vectors, distances).
 Plain summation cannot deliver that: permuting summands changes the
 rounding. Sorting summands first makes every reduction a function of the
-multiset only.
+multiset only. ``logsumexp`` is the exception: it keeps scipy's summation
+order, so that its results match ``scipy.special.logsumexp`` bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sorted_sum", "sorted_dot", "segment_sorted_sum"]
+__all__ = ["sorted_sum", "sorted_dot", "segment_sorted_sum", "logsumexp"]
 
 
 def sorted_sum(values):
@@ -50,3 +51,20 @@ def segment_sorted_sum(index, values, size):
     out[idx[starts]] = np.add.reduceat(val, starts)
     return out
 
+
+def logsumexp(values) -> float:
+    """log(sum(exp(values))) of a 1-D real array, as ``scipy.special.logsumexp``.
+
+    Same operations in the same order as scipy 1.17's version, so the result
+    is bitwise equal to it: every entry equal to the maximum is taken out of
+    the shifted sum and counted in ``m``.
+    """
+    a = np.asarray(values, dtype=float).ravel()
+    with np.errstate(all="ignore"):
+        a_max = a.max()
+        mask = a == a_max
+        m = np.sum(mask, dtype=float)
+        s = np.sum(np.exp(np.where(mask, -np.inf, a) - a_max))
+        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
+        # an infinite or nan maximum falls back to the direct sum, as scipy does
+        return float(out if np.isfinite(out) else np.log(np.sum(np.exp(a))))

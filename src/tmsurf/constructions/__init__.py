@@ -7,7 +7,7 @@ mesh-sampled one.
 """
 
 from .radial import RadialModel, radial_model, radial_integral, log_integral_exp
-from .bubble import BubbleProfile, bubble_integral, bubble_integral_quad
+from .bubble import BubbleProfile, bubble_integral
 from .moser import (
     MoserSequence,
     MoserReport,
@@ -42,7 +42,6 @@ __all__ = [
     "log_integral_exp",
     "BubbleProfile",
     "bubble_integral",
-    "bubble_integral_quad",
     "MoserSequence",
     "MoserReport",
     "min_orbit_separation",

@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-__all__ = ["BubbleProfile", "bubble_integral", "bubble_integral_quad"]
+__all__ = ["BubbleProfile", "bubble_integral"]
 
 
 @dataclass(frozen=True)
@@ -35,21 +34,3 @@ def bubble_integral(ell: int, radius: float) -> float:
     t = np.pi * ell * radius * radius
     return float(t / (1.0 + t) / ell)
 
-
-def bubble_integral_quad(ell: int, radius: float) -> float:
-    """Adaptive-quadrature check path for bubble_integral."""
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    phi = BubbleProfile(ell)
-
-    def integrand(rho):
-        return 2.0 * np.pi * rho * np.exp(8.0 * np.pi * ell * phi(rho))
-
-    # integrand decays like rho^-3; split at the unit scale so quad resolves
-    # both the bump near 1/sqrt(pi*ell) and the long tail
-    split = min(radius, 1.0)
-    total, err = quad(integrand, 0.0, split, epsabs=1e-13, epsrel=1e-12)
-    if radius > split:
-        tail, terr = quad(integrand, split, radius, epsabs=1e-13, epsrel=1e-12, limit=200)
-        total, err = total + tail, err + terr
-    return float(total)

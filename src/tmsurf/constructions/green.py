@@ -211,7 +211,7 @@ def green_l2_norm_sq(dec: GreenDecomposition) -> float:
     mask[dec.orbit] = True
     touching = mask[tris].any(axis=1)
     excl = np.zeros(mesh.n_vertices, dtype=bool)
-    excl[np.unique(tris[touching])] = True
+    excl[tris[touching]] = True
     area_excl = sorted_sum(dec.ops.lumped[excl])
     model = dec.model
     rho_ex = model.ball_radius(area_excl / dec.ell)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .._sums import logsumexp
 from ..geometry import SurfaceMesh, UnsupportedOperation
 
 __all__ = ["RadialModel", "radial_model", "surface_model", "radial_integral", "log_integral_exp"]
@@ -98,4 +98,4 @@ def log_integral_exp(log_f, lo: float, hi: float, model: RadialModel,
         return -np.inf
     rho, weight = _nodes(lo, hi, n, log_grid)
     log_meas = np.log(weight * model.circumference(rho))
-    return float(logsumexp(np.asarray(log_f(rho), dtype=float) + log_meas))
+    return logsumexp(np.asarray(log_f(rho), dtype=float) + log_meas)

@@ -368,7 +368,7 @@ def _vertex_permutations(verts: np.ndarray, mats: list[np.ndarray], name: str) -
                 f"offending generator {label}: image of vertex {int(missing[0])} is not a mesh vertex"
             )
         perms[idx] = order[pos]
-        if len(np.unique(perms[idx])) != n:
+        if np.bincount(perms[idx], minlength=n).max() != 1:
             raise GroupError(f"offending generator {label}: vertex map is not a bijection")
     return perms
 

@@ -1,4 +1,4 @@
-"""Shared meshes and orbit spaces, built once per session.
+"""Shared meshes and orbit spaces, built once per session, and test oracles.
 
 The level-4/5 spheres also back the acceptance tests, so building them here
 keeps the whole suite to a handful of eigensolves and factorizations.  Each
@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from tmsurf.constructions import BubbleProfile
 from tmsurf.discretization import FemOperators, OrbitReduction, assemble, orbit_reduction
 from tmsurf.geometry import GroupAction, SurfaceMesh, build_flat_torus_mesh, build_sphere_mesh
 from tmsurf.spectrum import InvariantSpectrum, invariant_spectrum
@@ -33,6 +35,31 @@ def _setup(builder, *args, count=8, **kwargs) -> Setup:
     mesh, action = builder(*args, **kwargs)
     red = orbit_reduction(assemble(mesh), action)
     return Setup(mesh, action, red, invariant_spectrum(red, count=count))
+
+
+def bubble_integral_quad(ell: int, radius: float) -> float:
+    """Adaptive-quadrature value of the disk integral of exp(8*pi*ell*phi)."""
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    phi = BubbleProfile(ell)
+
+    def integrand(rho):
+        return 2.0 * np.pi * rho * np.exp(8.0 * np.pi * ell * phi(rho))
+
+    # integrand decays like rho^-3; split at the unit scale so quad resolves
+    # both the bump near 1/sqrt(pi*ell) and the long tail
+    split = min(radius, 1.0)
+    total, err = quad(integrand, 0.0, split, epsabs=1e-13, epsrel=1e-12)
+    if radius > split:
+        tail, terr = quad(integrand, split, radius, epsabs=1e-13, epsrel=1e-12, limit=200)
+        total, err = total + tail, err + terr
+    return float(total)
+
+
+@pytest.fixture(scope="session")
+def bubble_quad():
+    """The quadrature oracle that the closed-form bubble mass is checked against."""
+    return bubble_integral_quad
 
 
 @pytest.fixture(scope="session")

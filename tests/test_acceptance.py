@@ -18,7 +18,6 @@ from tmsurf import cli
 from tmsurf.constructions import (
     build_test_family,
     bubble_integral,
-    bubble_integral_quad,
     extract_A,
     green_l2_norm_sq,
     green_solve,
@@ -80,11 +79,11 @@ def test_criterion_02_torus_spectrum():
 # ---------------------------------------------------------------- 3-5: model constructions
 
 
-def test_criterion_03_bubble_integrals():
+def test_criterion_03_bubble_integrals(bubble_quad):
     worst, worst_tail = 0.0, 0.0
     for ell in (1, 2, 4):
         for radius in (1.0, 10.0, 1e3):
-            worst = max(worst, abs(bubble_integral(ell, radius) - bubble_integral_quad(ell, radius)))
+            worst = max(worst, abs(bubble_integral(ell, radius) - bubble_quad(ell, radius)))
         worst_tail = max(worst_tail, abs(bubble_integral(ell, 1e3) - 1.0 / ell))
     ok = worst <= 1e-9 and worst_tail < 1e-3
     assert _line("03", ok, f"closed form vs quadrature max {worst:.2e}; tail-to-1/ell max {worst_tail:.2e}")

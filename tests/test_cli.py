@@ -465,3 +465,36 @@ def test_benchmark_traces_every_layer_function():
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []
+
+
+def test_pipeline_loads_no_scipy_special_integrate_or_optimize(tmp_path):
+    # these scipy subpackages cost start-up time and resident memory in every
+    # tm process and nothing in the pipeline needs them.  A subprocess,
+    # because the test session itself has imported them.  Level 3, because on
+    # a level-2 sphere the Green fit annulus reaches past the surface scale
+    # and the stages after green would not run.
+    cfg = {
+        "schema": 1,
+        "surface": {"kind": "sphere", "level": 3},
+        "group": "antipodal",
+        "alpha": {"gap_fraction": 0.25, "level": 1},
+        "pipeline": ["mesh", "spectrum", "green", "bounds", "maximize", "diagnostics", "sharpness"],
+        "bounds": {"epsilons": [1e-3]},
+        "maximize": {"epsilon_sub": 2 * np.pi},
+        "diagnostics": {"c_threshold": 0.3, "radii": [0.4, 0.8]},
+        "sharpness": {"beta_grid": [0.9 * 8 * np.pi], "k_grid": [100, 1000]},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}]\n"
+        "names = ('scipy.special', 'scipy.integrate', 'scipy.optimize')\n"
+        "import tmsurf.cli\n"
+        "after_import = [m for m in names if m in sys.modules]\n"
+        f"rc = tmsurf.cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
+        "print(json.dumps([after_import, rc, [m for m in names if m in sys.modules]]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], 0, []]

@@ -1,7 +1,7 @@
 """Oracles for the analytic constructions.
 
 Closed forms are cross-checked against independent evaluations computed in the
-test itself: adaptive quadrature for the bubble mass and the round-sphere Green
+test suite: adaptive quadrature for the bubble mass and the round-sphere Green
 function, the even-degree zonal-harmonic series for the shifted regular
 constant, and the lattice theta function for the flat-torus Green function.
 """
@@ -9,7 +9,9 @@ constant, and the lattice theta function for the flat-torus Green function.
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp as scipy_logsumexp
 
+from tmsurf._sums import logsumexp
 from tmsurf.constructions import (
     BubbleProfile,
     FamilyError,
@@ -17,7 +19,6 @@ from tmsurf.constructions import (
     MoserSequence,
     build_test_family,
     bubble_integral,
-    bubble_integral_quad,
     extract_A,
     green_l2_norm_sq,
     green_solve,
@@ -33,6 +34,8 @@ from tmsurf.constructions import (
     upper_bound_formula,
     upper_bound_value,
 )
+from tmsurf.constructions import family as family_module
+from tmsurf.constructions import radial as radial_module
 from tmsurf.constructions import test_family_lower_bound as family_lower_bound
 from tmsurf.constructions.moser import cap_radius_limit
 from tmsurf.discretization import (
@@ -49,9 +52,9 @@ from tmsurf.geometry import MeshError, build_flat_torus_mesh, orbit_stats
 
 @pytest.mark.parametrize("ell", [1, 2, 4])
 @pytest.mark.parametrize("radius", [1.0, 10.0, 1e3])
-def test_bubble_closed_form_matches_quadrature(ell, radius):
+def test_bubble_closed_form_matches_quadrature(ell, radius, bubble_quad):
     closed = bubble_integral(ell, radius)
-    adaptive = bubble_integral_quad(ell, radius)
+    adaptive = bubble_quad(ell, radius)
     assert abs(closed - adaptive) <= 1e-9
 
 
@@ -73,13 +76,13 @@ def test_bubble_profile_shape():
     )
 
 
-def test_bubble_validation():
+def test_bubble_validation(bubble_quad):
     with pytest.raises(ValueError):
         BubbleProfile(0)
     with pytest.raises(ValueError):
         bubble_integral(2, -1.0)
     with pytest.raises(ValueError):
-        bubble_integral_quad(2, -1.0)
+        bubble_quad(2, -1.0)
 
 
 # ---------------------------------------------------------------- radial model
@@ -109,6 +112,48 @@ def test_log_integral_exp_consistency(sphere3):
     direct = radial_integral(lambda rho: np.exp(-rho), 0.1, 1.0, model, log_grid=True)
     logged = log_integral_exp(lambda rho: -rho, 0.1, 1.0, model, log_grid=True)
     assert logged == pytest.approx(np.log(direct), rel=1e-12)
+
+
+def _same_bits(ours, reference):
+    return np.float64(ours).tobytes() == np.float64(reference).tobytes()
+
+
+def test_logsumexp_matches_scipy_bitwise(rng):
+    # results.json holds log-sum-exp values; tmsurf's own reducer repeats
+    # scipy.special.logsumexp's operations so that they keep scipy's bits
+    cases = [[0.3], [-745.0], [np.log(2.0), np.log(3.0)], [1.5, 1.5], [-np.inf, 0.25],
+             [np.log(5.0), np.log(2.0) + 3.1, np.log(0.5)], [7.0, 7.0, 7.0]]
+    for _ in range(200):
+        a = rng.normal(scale=rng.choice([1e-3, 1.0, 50.0, 800.0]), size=400)
+        ties = rng.integers(0, 400, size=rng.integers(1, 8))
+        a[ties] = a.max()
+        cases.append(a.copy())
+        a[rng.integers(0, 400, size=rng.integers(1, 200))] = -np.inf
+        cases.append(a)
+    for a in cases:
+        assert _same_bits(logsumexp(a), scipy_logsumexp(np.asarray(a, dtype=float)))
+    # all entries -inf, an infinite entry, a nan: scipy's direct-sum fallback
+    for a in ([-np.inf] * 3, [1.0, np.inf], [0.0, np.nan]):
+        assert _same_bits(logsumexp(a), scipy_logsumexp(a))
+
+
+def test_logsumexp_matches_scipy_on_family_inputs(family_sweep, monkeypatch):
+    # the 2- and 3-term lists of test_family_lower_bound and the 400-node
+    # exponents of its inner radial integral
+    seen = []
+
+    def recording(values):
+        seen.append(np.asarray(values, dtype=float))
+        return logsumexp(values)
+
+    monkeypatch.setattr(family_module, "logsumexp", recording)
+    monkeypatch.setattr(radial_module, "logsumexp", recording)
+    dec, _, fams, _ = family_sweep
+    for fam in fams + [build_test_family(dec, 0.1)]:
+        family_lower_bound(fam)
+    assert {a.size for a in seen} == {2, 3, 400}
+    for a in seen:
+        assert _same_bits(logsumexp(a), scipy_logsumexp(a))
 
 
 # ---------------------------------------------------------------- Moser caps

@@ -354,6 +354,13 @@ def test_vertex_permutations_match_row_lookup():
         assert perm.tolist() == [table[row.tobytes()] for row in image]
 
 
+def test_vertex_permutations_reject_a_map_that_is_not_a_bijection():
+    # two equal rows both find the first of them, so vertex 0 is hit twice
+    verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(GroupError, match="offending generator g:0: vertex map is not a bijection"):
+        geometry._vertex_permutations(verts, [np.eye(3, dtype=np.int64)], "g")
+
+
 def test_nudged_vertex_breaks_point_group(tmp_path):
     mesh, _ = build_sphere_mesh(2, "antipodal")
     path = tmp_path / "s.off"
