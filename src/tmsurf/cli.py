@@ -38,7 +38,6 @@ from .geometry import (
     build_sphere_mesh,
     check_group_action,
     group_action,
-    orbit_stats,
     read_group_json,
     read_off,
     write_group_json,
@@ -313,10 +312,10 @@ def _stage_spectrum(ctx: Context) -> None:
 
 def _stage_green(ctx: Context) -> None:
     alpha = _resolve_alpha(ctx.cfg.get("alpha", 0.0), ctx.spec)
-    params = NormParams(alpha=alpha, lambda_gap=ctx.spec.lambda_1, beta=1.0)
+    params = NormParams(alpha=alpha, lambda_gap=ctx.spec.lambda_1)
     source = ctx.cfg.get("green", {}).get("source", "auto")
     if source == "auto":  # a vertex of a minimal orbit
-        source = int(orbit_stats(ctx.action).min_vertices[0])
+        source = ctx.action.min_orbit_vertex
     elif isinstance(source, str):  # `tm green --orbit 5`
         source = int(source)
     source = _number(source, "source", int)

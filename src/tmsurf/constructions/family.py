@@ -3,9 +3,13 @@
 The family glues a logarithmic plateau profile of height c inside geodesic
 balls of radius R*eps around a minimal orbit (R = -log eps) to the rescaled
 Green function G/c outside, through an annulus where the regular remainder
-psi~ is faded out by a cutoff. The gluing constant B is chosen so that the
-shifted norm is exactly one; continuity at the seam then fixes
-c^2 = -(1/2*pi*ell) log(R*eps) + A + (1/4*pi*ell) log(1 + pi*ell*R^2) - B.
+psi~ is faded out by a cutoff. Continuity at the seam ties the gluing
+constant B to the height: B = t0 - c^2, with
+t0 = -(1/2*pi*ell) log(R*eps) + A + (1/4*pi*ell) log(1 + pi*ell*R^2).
+So c*eta is t0 + q (q the log profile) inside the balls and G outside, and
+c times the mean of eta is fixed by them: none of the three depends on B.
+The shifted norm is then Q/c^2 with Q built from radial integrals alone,
+and the unit-norm member has c^2 = Q, an output of the construction.
 
 Evaluating the exponential functional on the family from below uses the
 pointwise bound e^t >= 1 + t away from the concentration balls and exact
@@ -17,6 +21,7 @@ volume makes the leading discretization errors cancel in the margin.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +43,6 @@ __all__ = [
 EPS_MAX = 0.2  # family parameters eps lie in (0, EPS_MAX)
 _NORM_TOL = 1e-6
 _SEAM_TOL = 1e-8
-_SECANT_TOL = 1e-12
-_MAX_ITER = 80
 
 
 class FamilyError(RuntimeError):
@@ -63,6 +66,7 @@ class TestFunctionFamily:
     seam_gap: float
     values: np.ndarray  # vertex samples of phi = eta - mbar
     dec: GreenDecomposition = field(repr=False)
+    norm_sq_at: Callable[[float], float] = field(repr=False)  # the norm^2 glued with another B
 
     @property
     def c(self) -> float:
@@ -73,11 +77,10 @@ class TestFunctionFamily:
         """|mean| * height; decays like R*eps*log(R*eps) as eps -> 0."""
         return abs(self.mbar) * self.c
 
-    def plateau(self, rho, b_const: float | None = None):
+    def plateau(self, rho):
         """Profile inside the concentration balls (height c at the center)."""
-        b = self.b_const if b_const is None else b_const
         ell = self.dec.ell
-        q = -np.log1p(np.pi * ell * (np.asarray(rho) / self.eps) ** 2) / (4.0 * np.pi * ell) + b
+        q = -np.log1p(np.pi * ell * (np.asarray(rho) / self.eps) ** 2) / (4.0 * np.pi * ell) + self.b_const
         return self.c + q / self.c
 
 
@@ -136,47 +139,31 @@ def build_test_family(
     kappa = model.circumference(r_eps) / (2.0 * np.pi * r_eps)
     boundary = kappa * g_hat(r_eps)
 
-    def assemble(b: float) -> tuple[float, float, float]:
+    def assemble(b: float) -> float:
+        """Shifted norm^2 of the member glued with constant b (c^2 = t0 - b)."""
         c_sq = t0 - b
-        if c_sq <= 0.0:
-            raise FamilyError(
-                f"eps={eps} too large: plateau height c^2 = {c_sq:.4g} <= 0 at B={b:.4g}"
-            )
         i_q = i_log + b * area_in
         i_q2 = i_log2 + 2.0 * b * i_log + b * b * area_in
-        c = np.sqrt(c_sq)
-        mbar = ell * (c_sq * area_in + i_q - i_g) / (vol * c)
+        mbar = ell * (c_sq * area_in + i_q - i_g) / (vol * np.sqrt(c_sq))
         dirichlet = (ell * j_q + boundary + (ell / vol) * i_g) / c_sq
         l2_in = ell * (c_sq * area_in + 2.0 * i_q + i_q2 / c_sq)
-        norm_sq = dirichlet - alpha * l2_in + alpha * vol * mbar * mbar
-        return norm_sq, mbar, c_sq
+        return dirichlet - alpha * l2_in + alpha * vol * mbar * mbar
 
-    b0 = 1.0 / (4.0 * np.pi * ell)
-    try:
-        f0 = assemble(b0)[0] - 1.0
-    except FamilyError:
-        raise FamilyError(
-            f"eps={eps} too large: no admissible plateau height near B=1/(4 pi ell)"
-        ) from None
-    b1 = b0 + 0.05 * b0 * (1.0 if f0 < 0 else -1.0)
-    f1 = assemble(b1)[0] - 1.0
-    history = [(b0, f0), (b1, f1)]
-    for _ in range(_MAX_ITER):
-        if abs(f1) <= _SECANT_TOL or f1 == f0:
-            break
-        b0, f0, b1 = b1, f1, b1 - f1 * (b1 - b0) / (f1 - f0)
-        f1 = assemble(b1)[0] - 1.0
-        history.append((b1, f1))
-    if abs(f1) > _SECANT_TOL * 1e3:
-        raise FamilyError(
-            f"norm equation did not converge at eps={eps}: |norm^2 - 1| = {abs(f1):.3e}; "
-            f"trace={[(round(b, 6), float(f)) for b, f in history]}"
-        )
-    b_const = b1
-    norm_sq, mbar, c_sq = assemble(b_const)
-    if abs(norm_sq - 1.0) > _NORM_TOL:
-        raise FamilyError(f"normalized member violates |norm^2 - 1| <= {_NORM_TOL}: {norm_sq!r}")
+    # c * eta and c * mbar do not depend on b, so assemble(b) * (t0 - b) is one
+    # constant Q for every b, and the unit-norm member has c^2 = Q
+    c_mbar = ell * (t0 * area_in + i_log - i_g) / vol
+    c_sq = (
+        ell * j_q + boundary + (ell / vol) * i_g
+        - alpha * (ell * (i_log2 + 2.0 * t0 * i_log + t0 * t0 * area_in) - vol * c_mbar * c_mbar)
+    )
+    if c_sq <= 0.0:
+        raise FamilyError(f"eps={eps} too large: plateau height c^2 = {c_sq:.4g} <= 0")
+    b_const = t0 - c_sq
     c = float(np.sqrt(c_sq))
+    mbar = c_mbar / c
+    norm_sq = assemble(b_const)
+    if not abs(norm_sq - 1.0) <= _NORM_TOL:
+        raise FamilyError(f"normalized member violates |norm^2 - 1| <= {_NORM_TOL}: {norm_sq!r}")
 
     # vertex samples; the seam agrees to machine precision by construction
     rho = dec.dist_orbit
@@ -204,6 +191,7 @@ def build_test_family(
         seam_gap=float(seam_gap),
         values=phi,
         dec=dec,
+        norm_sq_at=assemble,
     )
 
 

@@ -72,15 +72,14 @@ def min_orbit_separation(mesh: SurfaceMesh, action: GroupAction, center: int) ->
 
     A singleton orbit has no pair; it returns twice the largest usable radius
     so that the quarter-separation cap rule degrades to the geometric cap.
+    The group's isometries give every orbit point bitwise the distances of
+    the center, so the center's row holds the minimum.
     """
     orbit = _orbit_of(action, center)
     if len(orbit) == 1:
         return 2.0 * max_radius(mesh)
-    best = np.inf
-    for p in orbit:
-        d = geodesic_distance(mesh, int(p))[orbit]
-        best = min(best, float(np.min(d[d > 0])))
-    return best
+    d = geodesic_distance(mesh, center)[orbit]
+    return float(np.min(d[d > 0]))
 
 
 def cap_radius_limit(mesh: SurfaceMesh, action: GroupAction, center: int) -> float:

@@ -79,15 +79,13 @@ def _nodes(lo: float, hi: float, n: int, log_grid: bool):
     return rho, weight
 
 
-def radial_integral(f, lo: float, hi: float, model: RadialModel | None = None,
+def radial_integral(f, lo: float, hi: float, model: RadialModel,
                     n: int = 400, log_grid: bool = False) -> float:
-    """Integral of f(rho) [* circumference] over [lo, hi] by Gauss-Legendre."""
+    """Integral of f(rho) * circumference over [lo, hi] by Gauss-Legendre."""
     if hi <= lo:
         return 0.0
     rho, weight = _nodes(lo, hi, n, log_grid)
-    vals = np.asarray(f(rho), dtype=float)
-    if model is not None:
-        vals = vals * model.circumference(rho)
+    vals = np.asarray(f(rho), dtype=float) * model.circumference(rho)
     return float(np.sum(np.sort(vals * weight, kind="stable")))
 
 

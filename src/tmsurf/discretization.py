@@ -62,19 +62,15 @@ class FemOperators:
 class NormParams:
     """Spectral shift ``alpha`` gated by the invariant gap it must stay below.
 
-    ``beta`` is the exponential weight carried alongside; the shifted quadratic
-    form is definite only for ``alpha < lambda_gap``.
+    The shifted quadratic form is definite only for ``alpha < lambda_gap``.
     """
 
     alpha: float
     lambda_gap: float
-    beta: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.lambda_gap) and np.isfinite(self.beta)):
+        if not (np.isfinite(self.alpha) and np.isfinite(self.lambda_gap)):
             raise DiscretizationError("norm parameters must be finite")
-        if self.beta <= 0:
-            raise DiscretizationError(f"exponential weight must be positive, got {self.beta}")
         if self.lambda_gap <= 0:
             raise DiscretizationError(f"spectral gap must be positive, got {self.lambda_gap}")
         if self.alpha >= self.lambda_gap:

@@ -25,11 +25,9 @@ __all__ = [
     "UnsupportedOperation",
     "SurfaceMesh",
     "GroupAction",
-    "OrbitStats",
     "build_sphere_mesh",
     "build_flat_torus_mesh",
     "group_action",
-    "orbit_stats",
     "geodesic_distance",
     "triangle_corners",
     "triangle_areas",
@@ -109,16 +107,10 @@ class GroupAction:
     def min_orbit_size(self) -> int:
         return int(self.orbit_sizes.min())
 
-    def sizes_per_vertex(self) -> np.ndarray:
-        return self.orbit_sizes[self.orbit_index]
-
-
-@dataclass(eq=False)
-class OrbitStats:
-    sizes_per_vertex: np.ndarray
-    min_size: int
-    min_vertices: np.ndarray  # vertices lying on some minimal orbit
-    histogram: dict  # orbit size -> number of orbits of that size
+    @property
+    def min_orbit_vertex(self) -> int:
+        """The lowest vertex on an orbit of the minimal size."""
+        return int(np.argmin(self.orbit_sizes[self.orbit_index]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +371,17 @@ def _orbits_from_perms(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return orbit_index.astype(np.int64), np.bincount(orbit_index).astype(np.int64)
 
 
-def _check_triangle_equivariance(tris: np.ndarray, perms: np.ndarray, name: str) -> None:
-    """Require every permutation to map the triangle set onto itself.
+def _check_triangle_equivariance(tris: np.ndarray, perms: np.ndarray, name: str) -> tuple[int, int]:
+    """Require every permutation to map the triangle set onto itself, and
+    return the largest setwise stabilizer of an edge and of a triangle.
 
     A triangle with sorted corners a < b < c gets the exact int64 key
     rank(a*n + b) * n + c, the rank being the first position of a*n + b among
     the mesh's own sorted (a, b) pairs; it stays below m n, where
     (a*n + b)*n + c would overflow for n >= 2**21.  An image pair missing
-    from the mesh already fails.
+    from the mesh already fails.  An edge {a, b}, a < b, has the key a*n + b.
+    A permutation fixes a simplex setwise when it keeps its key; the counts
+    start at one for the identity, which the loop skips.
     """
     n = perms.shape[1]
     identity = np.arange(n)
@@ -397,19 +392,52 @@ def _check_triangle_equivariance(tris: np.ndarray, perms: np.ndarray, name: str)
         c = np.maximum(np.maximum(x, y), z)
         return a * n + (x + y + z - a - c), c
 
+    def side_keys(corners):  # (3, m) corner indices -> key of the sides 01, 12, 20
+        x, y, z = corners
+        return [np.minimum(u, v) * n + np.maximum(u, v) for u, v in ((x, y), (y, z), (z, x))]
+
     pairs, corner = pair_and_corner(tris.T)
     known = np.sort(pairs, kind="stable")
-    canon = np.sort(np.searchsorted(known, pairs) * n + corner, kind="stable")
+    own = np.searchsorted(known, pairs) * n + corner
+    canon = np.sort(own, kind="stable")
+    own_sides = side_keys(tris.T)
+    tri_stab = np.ones(len(tris), dtype=np.int64)
+    side_stab = np.ones((3, len(tris)), dtype=np.int64)
     for p in perms:
         if np.array_equal(p, identity):
             continue
-        pairs, corner = pair_and_corner(p[tris.T])
+        image = p[tris.T]
+        pairs, corner = pair_and_corner(image)
         rank = np.minimum(np.searchsorted(known, pairs), len(known) - 1)
+        keys = rank * n + corner
         if not (
             np.array_equal(known[rank], pairs)
-            and np.array_equal(canon, np.sort(rank * n + corner, kind="stable"))
+            and np.array_equal(canon, np.sort(keys, kind="stable"))
         ):
             raise GroupError(f"group {name!r} does not preserve the triangle set")
+        tri_stab += keys == own
+        for count, key, image_key in zip(side_stab, own_sides, side_keys(image)):
+            count += key == image_key
+    return int(side_stab.max()), int(tri_stab.max())
+
+
+def _check_simplex_orbits(tris: np.ndarray, action: GroupAction) -> None:
+    """Require the triangle set to be preserved and no edge or triangle to lie
+    on an orbit smaller than the smallest vertex orbit.
+
+    ell is the minimum orbit size over the whole surface.  A simplex's
+    barycentre has the orbit size |G| / |setwise stabilizer|, the smallest
+    over its points; a minimum reached only there leaves no vertex to carry it.
+    """
+    stabs = _check_triangle_equivariance(tris, action.permutations, action.name)
+    for kind, stab in zip(("an edge", "a triangle"), stabs):
+        size = action.order // stab
+        if size < action.min_orbit_size:
+            raise GroupError(
+                f"group {action.name!r} has {kind} orbit of size {size}, below its smallest "
+                f"vertex orbit of size {action.min_orbit_size}; the Green source and the "
+                "test family need a vertex on a minimal orbit"
+            )
 
 
 # Relative tolerance on squared edge lengths for an imported permutation to
@@ -434,8 +462,9 @@ def _edge_sq(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def check_group_action(mesh: SurfaceMesh, action: GroupAction) -> None:
     """Require distinct rows with the identity, closed under composition,
-    preserving the triangle set and every edge length; otherwise orbits and
-    order are wrong, or the group is not an isometry group."""
+    preserving the triangle set and every edge length, and with its smallest
+    orbit on a vertex; otherwise orbits, order or ell are wrong, or the group
+    is not an isometry group."""
     perms = action.permutations
     rows = {p.tobytes() for p in perms}
     if len(rows) != len(perms):
@@ -446,7 +475,7 @@ def check_group_action(mesh: SurfaceMesh, action: GroupAction) -> None:
     for p in perms:
         if any(p[q].tobytes() not in rows for q in perms):
             raise GroupError(f"group {action.name!r} is not closed under composition")
-    _check_triangle_equivariance(mesh.triangles, perms, action.name)
+    _check_simplex_orbits(mesh.triangles, action)
     u, v = mesh.triangles.ravel(), np.roll(mesh.triangles, -1, axis=1).ravel()  # every side
     sq = _edge_sq(mesh, u, v)
     for p in perms:
@@ -466,9 +495,9 @@ def _sphere_action(mesh: SurfaceMesh, group_kind: str) -> GroupAction:
         raise GroupError("shift groups act on tori, not spheres")
     mats = _close_matrix_group(_sphere_generators(kind, m))
     perms = _vertex_permutations(mesh.vertices, mats, group_kind)
-    _check_triangle_equivariance(mesh.triangles, perms, group_kind)
-    orbit_index, orbit_sizes = _orbits_from_perms(perms)
-    return GroupAction(group_kind, perms, orbit_index, orbit_sizes)
+    action = GroupAction(group_kind, perms, *_orbits_from_perms(perms))
+    _check_simplex_orbits(mesh.triangles, action)
+    return action
 
 
 def _parse_torus_group(group_kind: str) -> list[tuple[int, int]]:
@@ -586,20 +615,6 @@ def group_action(mesh: SurfaceMesh, group_kind: str = "trivial") -> GroupAction:
 
 # ---------------------------------------------------------------------------
 # orbits and geodesics
-
-
-def orbit_stats(action: GroupAction) -> OrbitStats:
-    sizes = action.sizes_per_vertex()
-    min_size = int(sizes.min())
-    histogram = {}
-    for s in action.orbit_sizes:
-        histogram[int(s)] = histogram.get(int(s), 0) + 1
-    return OrbitStats(
-        sizes_per_vertex=sizes,
-        min_size=min_size,
-        min_vertices=np.flatnonzero(sizes == min_size),
-        histogram=histogram,
-    )
 
 
 def geodesic_distance(mesh: SurfaceMesh, source: int) -> np.ndarray:

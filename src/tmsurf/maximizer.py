@@ -49,7 +49,6 @@ from .geometry import (
     SurfaceMesh,
     geodesic_distance,
     mean_edge_length,
-    orbit_stats,
     triangle_corners,
     triangle_edge_sq,
 )
@@ -74,6 +73,7 @@ _STEP_MIN = 1e-12
 _POLISH_DAMPING = (1.0, 0.5, 0.25, 0.1)
 _POLISH_FACTOR = 1.0 - 1e-6  # any certified residual decrease is progress
 _DEFAULT_TOL = 1e-8
+_PROFILE_SPAN = 5.0  # radius, in blow-up coordinates, of the bubble comparison
 
 
 class MaximizerError(RuntimeError):
@@ -134,7 +134,7 @@ class ProblemSpec:
 
     @property
     def norm_params(self) -> NormParams:
-        return NormParams(alpha=self.alpha, lambda_gap=self.lambda_level, beta=self.beta)
+        return NormParams(alpha=self.alpha, lambda_gap=self.lambda_level)
 
 
 @dataclass(eq=False)
@@ -182,7 +182,7 @@ def _seed_orbits(spec: ProblemSpec, seed, rng_seed: int, solve) -> np.ndarray:
     if seed == "random":
         rng = np.random.default_rng(rng_seed)
         return normalized_competitor(rng.standard_normal(ops.n), spec)[reps]
-    center = int(orbit_stats(action).min_vertices[0])
+    center = action.min_orbit_vertex
     if seed == "moser":
         r = 0.8 * cap_radius_limit(ops.mesh, action, center)
         rep = moser_evaluate(MoserSequence(center, r, 10, spec.ell), ops.mesh, action)
@@ -408,14 +408,13 @@ def blowup_diagnostics(
     state: MaximizerState,
     radii,
     c_threshold: float = 3.0,
-    profile_span: float = 5.0,
 ) -> BlowupDiagnostics:
     """Concentration-scale diagnostics of a converged maximizer.
 
     The blow-up scale is r_eps = sqrt(lambda)/c * e^(-(2 pi ell - eps/2) c^2);
     ball energies sum full triangles whose vertices all lie inside, in sorted
     order, so orbit-image balls report bitwise-equal numbers.  The rescaled
-    profile c (u - c) on the disk of radius ``profile_span`` in blow-up
+    profile c (u - c) on the disk of radius ``_PROFILE_SPAN`` in blow-up
     coordinates is compared to the bubble ``BubbleProfile(ell)`` when the
     scale is resolvable.
     """
@@ -453,7 +452,7 @@ def blowup_diagnostics(
     resolution_warning = r_eps < h
     if not resolution_warning:
         dist = geodesic_distance(mesh, state.x_eps)
-        inside = dist <= profile_span * r_eps
+        inside = dist <= _PROFILE_SPAN * r_eps
         n_pts = int(np.count_nonzero(inside))
         if n_pts < 8:
             resolution_warning = True

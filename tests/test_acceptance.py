@@ -27,7 +27,7 @@ from tmsurf.constructions import test_family_lower_bound as family_lower_bound
 from tmsurf.constructions.moser import MoserSequence, moser_evaluate, moser_normalized
 from tmsurf.constructions.radial import RadialModel
 from tmsurf.discretization import NormParams, assemble, exp_functional, orbit_reduction
-from tmsurf.geometry import build_flat_torus_mesh, build_sphere_mesh, orbit_stats
+from tmsurf.geometry import build_flat_torus_mesh, build_sphere_mesh
 from tmsurf.maximizer import (
     ProblemSpec,
     alpha_failure_probe,
@@ -92,7 +92,7 @@ def test_criterion_03_bubble_integrals(bubble_quad):
 def test_criterion_04_moser_energy_ratio():
     mesh, action = build_sphere_mesh(6, "antipodal")
     report = moser_evaluate(
-        MoserSequence(center=int(orbit_stats(action).min_vertices[0]), radius=0.1, k=1e3, ell=2),
+        MoserSequence(center=action.min_orbit_vertex, radius=0.1, k=1e3, ell=2),
         mesh, action, ops=assemble(mesh),
     )
     sphere_err = abs(report.energy_ratio - 1.0)
@@ -158,7 +158,7 @@ def regular_part_table(sphere4):
         else:
             mesh, action = build_sphere_mesh(5, "antipodal")
             red = orbit_reduction(assemble(mesh), action)
-        src = int(orbit_stats(red.action).min_vertices[0])
+        src = red.action.min_orbit_vertex
         for alpha in (0.0, 3.0):
             dec = green_solve(red, src, NormParams(alpha=alpha, lambda_gap=6.0))
             a = extract_A(dec)
@@ -238,7 +238,7 @@ def test_criterion_08_regular_part_convergence(regular_part_table):
 def family_reports(sphere4):
     s = sphere4
     alpha = 0.25 * s.spectrum.lambda_1
-    src = int(orbit_stats(s.action).min_vertices[0])
+    src = s.action.min_orbit_vertex
     dec = green_solve(s.red, src, NormParams(alpha=alpha, lambda_gap=s.spectrum.lambda_1))
     extract_A(dec)
     green_l2_norm_sq(dec)
@@ -321,7 +321,7 @@ def _competitor_values(spec, s, rng_seed=0, n_random=20):
     for r in (0.05, 0.1):
         for k in k_grid:
             seq = MoserSequence(
-                center=int(orbit_stats(s.action).min_vertices[0]), radius=r, k=float(k), ell=2
+                center=s.action.min_orbit_vertex, radius=r, k=float(k), ell=2
             )
             u = moser_normalized(seq, s.ops, s.action, spec.norm_params)
             values.append(exp_functional(u, beta, s.ops).value)

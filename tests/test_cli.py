@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from tmsurf import cli
+from tmsurf import cli, geometry
 from tmsurf.geometry import GroupError, check_group_action, read_group_json, read_off
 
 
@@ -233,6 +233,32 @@ def test_bad_group_exits_2(tmp_path, capsys):
     assert cli.main(["mesh", "--mesh", str(torus), "--perms", str(perms),
                      "--out", str(tmp_path / "t2.off")]) == 2
     assert "group 'swap' does not preserve the triangle set" in capsys.readouterr().err
+
+
+def test_group_with_smaller_face_orbits_exits_2(tmp_path, capsys):
+    # the rotation group T (order 12) is an exact symmetry of the icosphere,
+    # but its 3-fold axes pass through face centres, never through vertices:
+    # triangle orbits of size 4 against vertex orbits of size 6 or more.
+    # T_h adds the inversion, which doubles those face orbits to 8.
+    sphere = tmp_path / "ico2.off"
+    assert cli.main(["mesh", "--level", "2", "--out", str(sphere)]) == 0
+    verts = read_off(sphere).vertices
+    cyc = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
+    rot = np.diag([-1, -1, 1]).astype(np.int64)
+    inversion = -np.eye(3, dtype=np.int64)
+    streams = {}
+    for name, gens, code in (("T", [cyc, rot], 2), ("Th", [cyc, rot, inversion], 0)):
+        perms = geometry._vertex_permutations(verts, geometry._close_matrix_group(gens), name)
+        export = tmp_path / f"{name}.json"
+        export.write_text(json.dumps({"name": name, "permutations": perms.tolist()}))
+        capsys.readouterr()
+        assert cli.main(["mesh", "--mesh", str(sphere), "--perms", str(export),
+                         "--out", str(tmp_path / f"{name}.off")]) == code
+        streams[name] = capsys.readouterr()
+    err = streams["T"].err
+    assert "triangle orbit of size 4, below its smallest vertex orbit of size 6" in err
+    assert "need a vertex on a minimal orbit" in err
+    assert "group 'Th' of order 24, ell=6" in streams["Th"].out
 
 
 def test_non_isometric_group_exits_2(tmp_path):

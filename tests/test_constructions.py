@@ -45,7 +45,7 @@ from tmsurf.discretization import (
     orbit_reduction,
     project_invariant_meanzero,
 )
-from tmsurf.geometry import MeshError, build_flat_torus_mesh, orbit_stats
+from tmsurf.geometry import MeshError, build_flat_torus_mesh
 
 # ---------------------------------------------------------------- bubble
 
@@ -255,7 +255,7 @@ def green_sphere4_trivial(sphere4_trivial):
 @pytest.fixture(scope="module")
 def green_sphere4_pair(sphere4):
     s = sphere4
-    source = int(orbit_stats(s.action).min_vertices[0])
+    source = s.action.min_orbit_vertex
     gap = s.spectrum.lambda_1
     dec0 = green_solve(s.red, source, NormParams(alpha=0.0, lambda_gap=gap))
     dec3 = green_solve(s.red, source, NormParams(alpha=3.0, lambda_gap=gap))
@@ -454,7 +454,7 @@ def test_richardson_pair_arithmetic():
 @pytest.fixture(scope="module")
 def family_sweep(sphere3):
     s = sphere3
-    source = int(orbit_stats(s.action).min_vertices[0])
+    source = s.action.min_orbit_vertex
     dec = green_solve(s.red, source, NormParams(alpha=1.5, lambda_gap=s.spectrum.lambda_1))
     eps_grid = (1e-2, 1e-3, 1e-4, 1e-5)
     fams = [build_test_family(dec, eps) for eps in eps_grid]
@@ -465,9 +465,20 @@ def family_sweep(sphere3):
 def test_family_normalization(family_sweep):
     _, _, fams, _ = family_sweep
     for fam in fams:
-        assert abs(fam.norm_sq - 1.0) < 1e-10
+        assert abs(fam.norm_sq - 1.0) < 1e-13
         assert fam.seam_gap < 1e-14
         assert fam.r_eps == pytest.approx(-np.log(fam.eps) * fam.eps, rel=1e-14)
+
+
+def test_family_norm_times_height_is_free_of_b(family_sweep):
+    # c*eta and c*mbar do not depend on B, so the b-form's norm^2 * c^2 is
+    # one constant Q; the closed form picks c^2 = Q
+    _, _, fams, _ = family_sweep
+    for fam in fams:
+        t0 = fam.b_const + fam.c_sq
+        b_grid = (t0 - 2.0 * fam.c_sq, fam.b_const, t0 - 0.5 * fam.c_sq)
+        q = [fam.norm_sq_at(b) * (t0 - b) for b in b_grid]
+        assert q == pytest.approx([fam.c_sq] * 3, rel=1e-13)
 
 
 def test_family_height_ladder(family_sweep):

@@ -208,8 +208,6 @@ def test_quadratic_form_and_norm(sphere3, rng):
 def test_norm_params_validation():
     with pytest.raises(ValueError):
         NormParams(alpha=6.0, lambda_gap=6.0)
-    with pytest.raises(ValueError):
-        NormParams(alpha=0.0, lambda_gap=6.0, beta=0.0)
 
 
 def test_projection_is_idempotent_and_invariant(sphere3, rng):

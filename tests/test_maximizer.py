@@ -14,7 +14,7 @@ import pytest
 from tmsurf import discretization
 from tmsurf.constructions import BubbleProfile, green_solve
 from tmsurf.discretization import NormParams, exp_functional, norm_one_alpha, quadratic_form_sq
-from tmsurf.geometry import geodesic_distance, orbit_stats
+from tmsurf.geometry import geodesic_distance
 from tmsurf.maximizer import (
     MaximizerError,
     MaximizerState,
@@ -259,7 +259,7 @@ def test_state_matches_vertex_reference(request, setup, level):
 def _bubble_state(s, c, lambda_eps=4.0, epsilon_sub=25.0):
     """Hand-built state whose peak is exactly the rescaled bubble."""
     spec = _spec(s, epsilon_sub=epsilon_sub)
-    center = int(orbit_stats(s.action).min_vertices[0])
+    center = s.action.min_orbit_vertex
     partner = int(s.action.permutations[1][center])
     bubble = BubbleProfile(2)
     r_eps = np.exp(
