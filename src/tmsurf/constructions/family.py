@@ -21,7 +21,6 @@ volume makes the leading discretization errors cancel in the margin.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +65,6 @@ class TestFunctionFamily:
     seam_gap: float
     values: np.ndarray  # vertex samples of phi = eta - mbar
     dec: GreenDecomposition = field(repr=False)
-    norm_sq_at: Callable[[float], float] = field(repr=False)  # the norm^2 glued with another B
 
     @property
     def c(self) -> float:
@@ -82,6 +80,21 @@ class TestFunctionFamily:
         ell = self.dec.ell
         q = -np.log1p(np.pi * ell * (np.asarray(rho) / self.eps) ** 2) / (4.0 * np.pi * ell) + self.b_const
         return self.c + q / self.c
+
+
+def _norm_sq_glued(b: float, t0: float, terms: tuple[float, ...]) -> float:
+    """Shifted norm^2 of the member glued with constant b (c^2 = t0 - b).
+
+    terms = (ell, alpha, Vol, |B_r_eps|, J_q, seam flux, I_log, I_log2, I_g).
+    """
+    ell, alpha, vol, area_in, j_q, boundary, i_log, i_log2, i_g = terms
+    c_sq = t0 - b
+    i_q = i_log + b * area_in
+    i_q2 = i_log2 + 2.0 * b * i_log + b * b * area_in
+    mbar = ell * (c_sq * area_in + i_q - i_g) / (vol * np.sqrt(c_sq))
+    dirichlet = (ell * j_q + boundary + (ell / vol) * i_g) / c_sq
+    l2_in = ell * (c_sq * area_in + 2.0 * i_q + i_q2 / c_sq)
+    return dirichlet - alpha * l2_in + alpha * vol * mbar * mbar
 
 
 def build_test_family(
@@ -139,18 +152,8 @@ def build_test_family(
     kappa = model.circumference(r_eps) / (2.0 * np.pi * r_eps)
     boundary = kappa * g_hat(r_eps)
 
-    def assemble(b: float) -> float:
-        """Shifted norm^2 of the member glued with constant b (c^2 = t0 - b)."""
-        c_sq = t0 - b
-        i_q = i_log + b * area_in
-        i_q2 = i_log2 + 2.0 * b * i_log + b * b * area_in
-        mbar = ell * (c_sq * area_in + i_q - i_g) / (vol * np.sqrt(c_sq))
-        dirichlet = (ell * j_q + boundary + (ell / vol) * i_g) / c_sq
-        l2_in = ell * (c_sq * area_in + 2.0 * i_q + i_q2 / c_sq)
-        return dirichlet - alpha * l2_in + alpha * vol * mbar * mbar
-
-    # c * eta and c * mbar do not depend on b, so assemble(b) * (t0 - b) is one
-    # constant Q for every b, and the unit-norm member has c^2 = Q
+    # c * eta and c * mbar do not depend on b, so _norm_sq_glued(b) * (t0 - b) is
+    # one constant Q for every b, and the unit-norm member has c^2 = Q
     c_mbar = ell * (t0 * area_in + i_log - i_g) / vol
     c_sq = (
         ell * j_q + boundary + (ell / vol) * i_g
@@ -161,7 +164,8 @@ def build_test_family(
     b_const = t0 - c_sq
     c = float(np.sqrt(c_sq))
     mbar = c_mbar / c
-    norm_sq = assemble(b_const)
+    terms = (ell, alpha, vol, area_in, j_q, boundary, i_log, i_log2, i_g)
+    norm_sq = _norm_sq_glued(b_const, t0, terms)
     if not abs(norm_sq - 1.0) <= _NORM_TOL:
         raise FamilyError(f"normalized member violates |norm^2 - 1| <= {_NORM_TOL}: {norm_sq!r}")
 
@@ -191,7 +195,6 @@ def build_test_family(
         seam_gap=float(seam_gap),
         values=phi,
         dec=dec,
-        norm_sq_at=assemble,
     )
 
 

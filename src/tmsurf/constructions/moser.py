@@ -72,8 +72,9 @@ def min_orbit_separation(mesh: SurfaceMesh, action: GroupAction, center: int) ->
 
     A singleton orbit has no pair; it returns twice the largest usable radius
     so that the quarter-separation cap rule degrades to the geometric cap.
-    The group's isometries give every orbit point bitwise the distances of
-    the center, so the center's row holds the minimum.
+    The group's isometries give every orbit point the distances of the
+    center (bitwise for signed-permutation groups, to round-off for an
+    imported group), so the center's row holds the minimum.
     """
     orbit = _orbit_of(action, center)
     if len(orbit) == 1:

@@ -470,14 +470,24 @@ def test_family_normalization(family_sweep):
         assert fam.r_eps == pytest.approx(-np.log(fam.eps) * fam.eps, rel=1e-14)
 
 
-def test_family_norm_times_height_is_free_of_b(family_sweep):
+def test_family_norm_times_height_is_free_of_b(family_sweep, monkeypatch):
     # c*eta and c*mbar do not depend on B, so the b-form's norm^2 * c^2 is
     # one constant Q; the closed form picks c^2 = Q
-    _, _, fams, _ = family_sweep
-    for fam in fams:
-        t0 = fam.b_const + fam.c_sq
+    dec, eps_grid, fams, _ = family_sweep
+    norm_sq_glued = family_module._norm_sq_glued
+    calls = []
+
+    def record(b, t0, terms):
+        calls.append((t0, terms))
+        return norm_sq_glued(b, t0, terms)
+
+    monkeypatch.setattr(family_module, "_norm_sq_glued", record)
+    for eps, fam in zip(eps_grid, fams):
+        assert build_test_family(dec, eps).c_sq == fam.c_sq
+        t0, terms = calls.pop()
+        assert t0 == pytest.approx(fam.b_const + fam.c_sq, rel=1e-14)
         b_grid = (t0 - 2.0 * fam.c_sq, fam.b_const, t0 - 0.5 * fam.c_sq)
-        q = [fam.norm_sq_at(b) * (t0 - b) for b in b_grid]
+        q = [norm_sq_glued(b, t0, terms) * (t0 - b) for b in b_grid]
         assert q == pytest.approx([fam.c_sq] * 3, rel=1e-13)
 
 

@@ -63,7 +63,9 @@ def test_cyclic4_has_fixed_poles():
     histogram = np.bincount(action.orbit_sizes)
     assert histogram[1] == 2
     assert np.flatnonzero(histogram).tolist() == [1, 4]
-    assert np.allclose(np.abs(mesh.vertices[action.min_orbit_vertex, 2]), 1.0)
+    fixed = np.flatnonzero(action.orbit_sizes[action.orbit_index] == 1)
+    assert len(fixed) == 2 and np.allclose(np.abs(mesh.vertices[fixed, 2]), 1.0)
+    assert action.min_orbit_vertex == fixed[0]
 
 
 def test_dihedral_group_order():
