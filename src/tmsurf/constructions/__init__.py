@@ -13,7 +13,6 @@ from .moser import (
     MoserReport,
     min_orbit_separation,
     moser_evaluate,
-    moser_normalized,
     moser_semianalytic_log_value,
 )
 from .green import (
@@ -46,7 +45,6 @@ __all__ = [
     "MoserReport",
     "min_orbit_separation",
     "moser_evaluate",
-    "moser_normalized",
     "moser_semianalytic_log_value",
     "GreenError",
     "GreenDecomposition",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..discretization import FemOperators, NormParams, norm_one_alpha, project_invariant_meanzero
 from ..geometry import GroupAction, MeshError, SurfaceMesh, geodesic_distance, max_radius
 from .radial import RadialModel, log_integral_exp, radial_integral
 
@@ -23,7 +22,6 @@ __all__ = [
     "MoserReport",
     "min_orbit_separation",
     "moser_evaluate",
-    "moser_normalized",
     "moser_semianalytic_log_value",
 ]
 
@@ -54,13 +52,6 @@ class MoserReport:
     values: np.ndarray
     orbit: np.ndarray
     flat_energy: float  # 8*pi*ell*log k
-    mesh_energy: float | None = None
-
-    @property
-    def energy_ratio(self) -> float | None:
-        if self.mesh_energy is None or self.flat_energy == 0.0:
-            return None
-        return self.mesh_energy / self.flat_energy
 
 
 def _orbit_of(action: GroupAction, center: int) -> np.ndarray:
@@ -97,13 +88,8 @@ def _profile(rho: np.ndarray, r: float, k: int) -> np.ndarray:
     return np.where(rho <= rho_in, float(np.log(k)), np.where(rho < r, ann, 0.0))
 
 
-def moser_evaluate(
-    seq: MoserSequence,
-    mesh: SurfaceMesh,
-    action: GroupAction,
-    ops: FemOperators | None = None,
-) -> MoserReport:
-    """Vertex samples of the symmetrized cap function with its energy report."""
+def moser_evaluate(seq: MoserSequence, mesh: SurfaceMesh, action: GroupAction) -> MoserReport:
+    """Vertex samples of the symmetrized cap function with its flat-model energy."""
     orbit = _orbit_of(action, seq.center)
     if len(orbit) != seq.ell:
         raise ValueError(f"center {seq.center} has orbit size {len(orbit)}, sequence says {seq.ell}")
@@ -126,28 +112,7 @@ def moser_evaluate(
     # reduction keeps the samples bitwise equal across group images
     values = np.sort(per_point, axis=0).sum(axis=0)
     flat = 8.0 * np.pi * seq.ell * float(np.log(seq.k))
-    mesh_energy = None
-    if ops is not None:
-        mesh_energy = float(values @ (ops.stiffness @ values))
-    return MoserReport(seq=seq, values=values, orbit=orbit, flat_energy=flat, mesh_energy=mesh_energy)
-
-
-def moser_normalized(
-    seq: MoserSequence,
-    ops: FemOperators,
-    action: GroupAction,
-    params: NormParams,
-) -> np.ndarray:
-    """Mean-zero projection of the cap function scaled to unit shifted norm."""
-    if seq.k == 1:
-        raise ValueError("k = 1 gives the zero function, which cannot be normalized")
-    report = moser_evaluate(seq, ops.mesh, action)
-    u = project_invariant_meanzero(report.values, ops, action)
-    u = u / norm_one_alpha(u, ops, params)
-    check = norm_one_alpha(u, ops, params)
-    if abs(check - 1.0) > 1e-10:
-        raise ArithmeticError(f"normalization drifted: |u|_(1,alpha) = {check!r}")
-    return u
+    return MoserReport(seq=seq, values=values, orbit=orbit, flat_energy=flat)
 
 
 def moser_semianalytic_log_value(

@@ -2,10 +2,10 @@
 
 Cotangent stiffness and consistent/lumped mass matrices, their reduction to
 orbit unknowns with a fill-reducing order of the orbit graph, the invariant
-mean-zero projection, the gradient norm with spectral shift, and the
-overflow-safe exponential functional. Assembly
-accumulates every matrix entry in value-sorted order, so the operators
-commute with the group's permutation matrices bitwise.
+mean-zero projection onto orbit vectors, the gradient norm with spectral
+shift, and the overflow-safe exponential functional. Assembly accumulates
+every matrix entry in value-sorted order, so the operators commute with the
+group's permutation matrices bitwise.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "NormParams",
     "OrbitReduction",
     "ExpFunctional",
+    "cotangent_weights",
     "assemble",
     "orbit_reduction",
     "project_invariant_meanzero",
@@ -85,6 +86,17 @@ class ExpFunctional(NamedTuple):
     log_value: float
 
 
+def cotangent_weights(mesh: SurfaceMesh) -> np.ndarray:
+    """(m, 3) array whose entry i is cot(angle at corner i) / 2 of each triangle."""
+    sq = triangle_edge_sq(triangle_corners(mesh))  # entry i: squared edge opposite corner i
+    area = mesh.face_areas  # positive: the mesh builders reject degenerate triangles
+    cot_w = np.empty_like(sq)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        cot_w[:, i] = (sq[:, j] + sq[:, k] - sq[:, i]) / (8.0 * area)
+    return cot_w
+
+
 def assemble(mesh: SurfaceMesh) -> FemOperators:
     """Cotangent stiffness and P1 mass matrices with order-independent sums.
 
@@ -92,15 +104,8 @@ def assemble(mesh: SurfaceMesh) -> FemOperators:
     summands below does not matter; the transient arrays are filled in place
     and released before the next sort to keep the peak near the output size.
     """
-    sq = triangle_edge_sq(triangle_corners(mesh))  # (m, 3), entry i: squared edge opposite corner i
-    area = mesh.face_areas  # positive: the mesh builders reject degenerate triangles
-
-    cot_w = np.empty_like(sq)  # cot(angle at corner i) / 2
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        cot_w[:, i] = (sq[:, j] + sq[:, k] - sq[:, i]) / (8.0 * area)
-    del sq
-
+    cot_w = cotangent_weights(mesh)
+    area = mesh.face_areas
     tri = mesh.triangles
     n, m = mesh.n_vertices, len(tri)
     keys = np.empty(6 * m, dtype=np.int64)  # row * n + col of each off-diagonal summand
@@ -244,17 +249,16 @@ def _nested_dissection(pattern: sp.spmatrix) -> np.ndarray:
     return np.lexsort(keys[::-1])
 
 
-def project_invariant_meanzero(u: np.ndarray, ops: FemOperators, action: GroupAction) -> np.ndarray:
-    """Group average followed by mass-mean removal.
+def project_invariant_meanzero(u: np.ndarray, red: OrbitReduction) -> np.ndarray:
+    """Orbit vector of the group average of vertex values ``u``, mass mean removed.
 
-    The average is taken in value-sorted order per vertex, so the output is
-    bitwise invariant: values at group-related vertices are equal floats.
+    The group average of u at a vertex is the mean of u over its orbit, so
+    it is the orbit sum over the orbit size, one value per orbit.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (ops.n,):
-        raise DiscretizationError(f"expected vector of length {ops.n}")
-    gathered = u[action.permutations]  # (order, n)
-    return remove_mass_mean(np.sort(gathered, axis=0).sum(axis=0) / action.order, ops)
+    if u.shape != (red.ops.n,):
+        raise DiscretizationError(f"expected vector of length {red.ops.n}")
+    return remove_mass_mean(red.reduce(u) / red.action.orbit_sizes, red)
 
 
 def remove_mass_mean(u: np.ndarray, ops: FemOperators) -> np.ndarray:

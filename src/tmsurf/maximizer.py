@@ -15,8 +15,8 @@ evaluated with the peak exponent shifted out and never overflows.  Everything
 runs on orbit unknowns w, u = S w, with the reduced K, M and areas, so
 invariance is exact by construction: ``_multipliers`` is the one evaluation
 of the load and the multipliers, shared by the ascent step, the polish, the
-returned state and ``multiplier_report``.  Vertex vectors appear only in the
-seed and in the returned u.
+returned state and ``multiplier_report``.  Vertex vectors appear only in a
+vertex seed's values and in the returned u.
 """
 
 from __future__ import annotations
@@ -38,20 +38,13 @@ from .discretization import (
     FemOperators,
     NormParams,
     OrbitReduction,
+    cotangent_weights,
     exp_functional,
     norm_one_alpha,
     project_invariant_meanzero,
-    quadratic_form_sq,
     remove_mass_mean,
 )
-from .geometry import (
-    GroupAction,
-    SurfaceMesh,
-    geodesic_distance,
-    mean_edge_length,
-    triangle_corners,
-    triangle_edge_sq,
-)
+from .geometry import GroupAction, SurfaceMesh, geodesic_distance, mean_edge_length
 from .spectrum import InvariantSpectrum
 
 __all__ = [
@@ -66,7 +59,6 @@ __all__ = [
     "triangle_dirichlet_energies",
     "blowup_diagnostics",
     "sharpness_probe",
-    "alpha_failure_probe",
 ]
 
 _STEP_MIN = 1e-12
@@ -87,7 +79,7 @@ class ProblemSpec:
     The working subspace is the complement of the first ``level - 1``
     eigenvalue clusters of ``spectrum`` (level 1 removes nothing).
     ``orbit_basis`` holds the removed eigenvectors on orbit unknowns,
-    ``spectrum.eigenvectors[red.reps, :m]``, and ``lambda_level``, the
+    ``spectrum.eigenvectors[:, :m]``, and ``lambda_level``, the
     eigenvalue of cluster ``level``, is the gap that ``alpha`` must stay
     below.  The solver iterates on the orbits of ``red`` with the
     factorization it holds at ``alpha``.
@@ -114,7 +106,7 @@ class ProblemSpec:
                 f"gap {self.lambda_level:.6g}"
             )
         m = sum(g[1] for g in self.spectrum.groups[: self.level - 1])
-        self.orbit_basis = self.spectrum.eigenvectors[self.red.reps, :m]
+        self.orbit_basis = self.spectrum.eigenvectors[:, :m]
 
     @property
     def ops(self) -> FemOperators:
@@ -170,23 +162,22 @@ def _normalize(spec: ProblemSpec, w: np.ndarray) -> np.ndarray:
 
 
 def normalized_competitor(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Projection of arbitrary vertex values to the unit sphere of the problem."""
-    u = project_invariant_meanzero(np.asarray(values, dtype=float), spec.ops, spec.action)
-    return spec.red.expand(_normalize(spec, _constrain(spec, u[spec.red.reps])))
+    """Orbit vector of arbitrary vertex values, projected to the unit sphere of the problem."""
+    return _normalize(spec, _constrain(spec, project_invariant_meanzero(values, spec.red)))
 
 
 def _seed_orbits(spec: ProblemSpec, seed, rng_seed: int, solve) -> np.ndarray:
-    ops, action, reps = spec.ops, spec.action, spec.red.reps
+    ops, action = spec.ops, spec.action
     if isinstance(seed, np.ndarray):
-        return normalized_competitor(seed, spec)[reps]
+        return normalized_competitor(seed, spec)
     if seed == "random":
         rng = np.random.default_rng(rng_seed)
-        return normalized_competitor(rng.standard_normal(ops.n), spec)[reps]
+        return normalized_competitor(rng.standard_normal(ops.n), spec)
     center = action.min_orbit_vertex
     if seed == "moser":
         r = 0.8 * cap_radius_limit(ops.mesh, action, center)
         rep = moser_evaluate(MoserSequence(center, r, 10, spec.ell), ops.mesh, action)
-        return normalized_competitor(rep.values, spec)[reps]
+        return normalized_competitor(rep.values, spec)
     if seed == "symmetric":
         # smooth non-concentrated invariant profile: shifted solve against the
         # lumped orbit indicator (a Green-type function, no plateau)
@@ -379,14 +370,11 @@ def triangle_dirichlet_energies(u: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
     The three cotangent terms are summed in sorted order so the result depends
     only on the multiset of (edge, value-difference) pairs.
     """
-    sq = triangle_edge_sq(triangle_corners(mesh))
-    area = mesh.face_areas
+    terms = cotangent_weights(mesh)
     tri = mesh.triangles
-    terms = np.empty_like(sq)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        cot_w = (sq[:, j] + sq[:, k] - sq[:, i]) / (8.0 * area)
-        terms[:, i] = cot_w * (u[tri[:, j]] - u[tri[:, k]]) ** 2
+        terms[:, i] *= (u[tri[:, j]] - u[tri[:, k]]) ** 2
     return np.sort(terms, axis=1).sum(axis=1)
 
 
@@ -505,37 +493,6 @@ def sharpness_probe(model, ell: int, beta_grid, k_grid, r: float = 0.05,
                 "slope": slope,
                 "strictly_increasing": bool(np.all(np.diff(logs) > 0)),
                 "variation": float((logs.max() - logs.min()) / max(abs(logs.min()), 1e-300)),
-            }
-        )
-    return rows
-
-
-def alpha_failure_probe(
-    ops: FemOperators,
-    eigvec: np.ndarray,
-    alpha: float,
-    t_grid,
-    beta: float = 1.0,
-) -> list:
-    """Feasibility-vs-growth table for t * e_j at the critical shift alpha = lambda_j.
-
-    The shifted quadratic form of t*e_j is t^2 (lambda_j - alpha) <= 0 + round-off,
-    so every t is feasible for the ball constraint while the functional grows
-    without bound; (log value - log Vol)/t^2 is non-decreasing in t by
-    convexity of t^2 -> log int e^(t^2 g).
-    """
-    rows = []
-    vol = ops.mesh.total_area
-    for t in np.asarray(t_grid, dtype=float):
-        q = quadratic_form_sq(t * eigvec, ops, alpha)
-        val = exp_functional(t * eigvec, beta, ops)
-        rows.append(
-            {
-                "t": float(t),
-                "shifted_form": float(q),
-                "feasible": bool(q <= 1.0 + 1e-9),
-                "log_value": val.log_value,
-                "growth_rate": float((val.log_value - np.log(vol)) / t**2) if t else 0.0,
             }
         )
     return rows

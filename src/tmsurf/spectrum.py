@@ -3,8 +3,9 @@
 Eigenpairs of K u = lambda M u restricted to group-invariant mean-zero
 vectors. The restriction is realized on the orbit-constant subspace (one
 unknown per orbit), which keeps the solve small and makes invariance of the
-returned eigenvectors exact by construction. The constant mode appears there
-as an exact zero eigenvalue and is removed.
+eigenvectors exact by construction: they are returned as orbit vectors w,
+u = S w. The constant mode appears there as an exact zero eigenvalue and is
+removed.
 
 Small orbit spaces take dense ``eigh``. Larger ones take shift-invert
 ``eigsh`` at sigma = -0.5, whose inverse operator is the orbit space's held
@@ -21,13 +22,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .discretization import FemOperators, OrbitReduction, remove_mass_mean
+from .discretization import OrbitReduction, remove_mass_mean
 
 __all__ = [
     "SpectrumError",
     "InvariantSpectrum",
     "invariant_spectrum",
-    "rayleigh_quotient",
 ]
 
 _DENSE_CUTOFF = 1500
@@ -45,9 +45,9 @@ class InvariantSpectrum:
     """Ascending invariant eigenvalues with mass-orthonormal eigenvectors."""
 
     eigenvalues: np.ndarray  # (count,)
-    eigenvectors: np.ndarray  # (n, count), invariant, mean-zero, M-orthonormal
+    eigenvectors: np.ndarray  # (n_orbits, count) orbit vectors, mean-zero, M_r-orthonormal
     groups: list  # [(value, multiplicity)] with value = first eigenvalue of the cluster
-    residuals: np.ndarray
+    residuals: np.ndarray  # |K u - lambda M u|_2 over the vertices of u = S w
 
     @property
     def lambda_1(self) -> float:
@@ -100,33 +100,28 @@ def invariant_spectrum(red: OrbitReduction, count: int, seed: int = 0) -> Invari
         raise SpectrumError(f"constant mode not found, first eigenvalue {vals[0]:.3e}")
     vals, vecs = vals[1:], vecs[:, 1:]
 
-    ops = red.ops
-    eigvecs = np.empty((ops.n, count))
+    # (K S w)_v = (K_r w)_o / |o| at every vertex v of orbit o, so a vertex
+    # 2-norm is the orbit norm weighted by 1/sqrt(|o|)
+    root_sizes = np.sqrt(red.action.orbit_sizes)
+    eigvecs = np.empty((n_orb, count))
     residuals = np.empty(count)
     for i in range(count):
-        u = remove_mass_mean(red.expand(vecs[:, i]), ops)
-        u = u / np.sqrt(float(u @ (ops.mass @ u)))
-        j = int(np.argmax(np.abs(u)))
-        if u[j] < 0:  # deterministic sign
-            u = -u
-        r = ops.stiffness @ u - vals[i] * (ops.mass @ u)
-        residuals[i] = np.linalg.norm(r)
-        scale = np.linalg.norm(ops.mass @ u)
+        w = remove_mass_mean(vecs[:, i], red)
+        w = w / np.sqrt(float(w @ (red.mass @ w)))
+        j = int(np.argmax(np.abs(w)))  # orbit ids follow lowest vertices: w[j] is u's first argmax
+        if w[j] < 0:  # deterministic sign
+            w = -w
+        mw = red.mass @ w
+        residuals[i] = np.linalg.norm((red.stiffness @ w - vals[i] * mw) / root_sizes)
+        scale = np.linalg.norm(mw / root_sizes)
         if residuals[i] > _RESIDUAL_TOL * max(scale, 1e-30):
             raise SpectrumError(
                 f"eigenpair {i} residual {residuals[i]:.3e} exceeds {_RESIDUAL_TOL:.0e}*|Me|={_RESIDUAL_TOL * scale:.3e}"
             )
-        eigvecs[:, i] = u
+        eigvecs[:, i] = w
     return InvariantSpectrum(
         eigenvalues=vals.copy(),
         eigenvectors=eigvecs,
         groups=_group_eigenvalues(vals),
         residuals=residuals,
     )
-
-
-def rayleigh_quotient(u: np.ndarray, ops: FemOperators) -> float:
-    denom = float(u @ (ops.mass @ u))
-    if denom <= 0:
-        raise SpectrumError("Rayleigh quotient of the zero vector")
-    return float(u @ (ops.stiffness @ u)) / denom

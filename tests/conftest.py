@@ -14,7 +14,14 @@ import pytest
 from scipy.integrate import quad
 
 from tmsurf.constructions import BubbleProfile
-from tmsurf.discretization import FemOperators, OrbitReduction, assemble, orbit_reduction
+from tmsurf.discretization import (
+    FemOperators,
+    OrbitReduction,
+    assemble,
+    exp_functional,
+    orbit_reduction,
+    quadratic_form_sq,
+)
 from tmsurf.geometry import GroupAction, SurfaceMesh, build_flat_torus_mesh, build_sphere_mesh
 from tmsurf.spectrum import InvariantSpectrum, invariant_spectrum
 
@@ -60,6 +67,51 @@ def bubble_integral_quad(ell: int, radius: float) -> float:
 def bubble_quad():
     """The quadrature oracle that the closed-form bubble mass is checked against."""
     return bubble_integral_quad
+
+
+def rayleigh_quotient_of(u: np.ndarray, ops: FemOperators) -> float:
+    """u.K u / u.M u of a nonzero vector."""
+    denom = float(u @ (ops.mass @ u))
+    assert denom > 0, "Rayleigh quotient of the zero vector"
+    return float(u @ (ops.stiffness @ u)) / denom
+
+
+def alpha_failure_table(ops: FemOperators, eigvec: np.ndarray, alpha: float, t_grid,
+                        beta: float = 1.0) -> list:
+    """Feasibility-vs-growth table for t * e_j at the critical shift alpha = lambda_j.
+
+    The shifted quadratic form of t*e_j is t^2 (lambda_j - alpha) <= 0 + round-off,
+    so every t is feasible for the ball constraint while the functional grows
+    without bound; (log value - log Vol)/t^2 is non-decreasing in t by
+    convexity of t^2 -> log int e^(t^2 g).
+    """
+    rows = []
+    vol = ops.mesh.total_area
+    for t in np.asarray(t_grid, dtype=float):
+        q = quadratic_form_sq(t * eigvec, ops, alpha)
+        val = exp_functional(t * eigvec, beta, ops)
+        rows.append(
+            {
+                "t": float(t),
+                "shifted_form": float(q),
+                "feasible": bool(q <= 1.0 + 1e-9),
+                "log_value": val.log_value,
+                "growth_rate": float((val.log_value - np.log(vol)) / t**2) if t else 0.0,
+            }
+        )
+    return rows
+
+
+@pytest.fixture(scope="session")
+def rayleigh_quotient():
+    """The Rayleigh quotient that eigenpairs and competitors are checked against."""
+    return rayleigh_quotient_of
+
+
+@pytest.fixture(scope="session")
+def alpha_failure_probe():
+    """The t * e_j table that shows the critical shift alpha = lambda_j failing."""
+    return alpha_failure_table
 
 
 @pytest.fixture(scope="session")

@@ -24,13 +24,12 @@ from tmsurf.constructions import (
     richardson_pair,
 )
 from tmsurf.constructions import test_family_lower_bound as family_lower_bound
-from tmsurf.constructions.moser import MoserSequence, moser_evaluate, moser_normalized
+from tmsurf.constructions.moser import MoserSequence, moser_evaluate
 from tmsurf.constructions.radial import RadialModel
 from tmsurf.discretization import NormParams, assemble, exp_functional, orbit_reduction
 from tmsurf.geometry import build_flat_torus_mesh, build_sphere_mesh
 from tmsurf.maximizer import (
     ProblemSpec,
-    alpha_failure_probe,
     blowup_diagnostics,
     multiplier_report,
     normalized_competitor,
@@ -89,20 +88,21 @@ def test_criterion_03_bubble_integrals(bubble_quad):
     assert _line("03", ok, f"closed form vs quadrature max {worst:.2e}; tail-to-1/ell max {worst_tail:.2e}")
 
 
+def _mesh_energy_ratio(seq, mesh, action):
+    report = moser_evaluate(seq, mesh, action)
+    v = report.values
+    return float(v @ (assemble(mesh).stiffness @ v)) / report.flat_energy
+
+
 def test_criterion_04_moser_energy_ratio():
     mesh, action = build_sphere_mesh(6, "antipodal")
-    report = moser_evaluate(
-        MoserSequence(center=action.min_orbit_vertex, radius=0.1, k=1e3, ell=2),
-        mesh, action, ops=assemble(mesh),
-    )
-    sphere_err = abs(report.energy_ratio - 1.0)
-    del mesh, action, report
+    seq = MoserSequence(center=action.min_orbit_vertex, radius=0.1, k=1e3, ell=2)
+    sphere_err = abs(_mesh_energy_ratio(seq, mesh, action) - 1.0)
+    del mesh, action
 
     mesh, action = build_flat_torus_mesh(1024, 1024)
-    report = moser_evaluate(
-        MoserSequence(center=0, radius=0.2, k=1e3, ell=1), mesh, action, ops=assemble(mesh)
-    )
-    torus_err = abs(report.energy_ratio - 1.0)
+    seq = MoserSequence(center=0, radius=0.2, k=1e3, ell=1)
+    torus_err = abs(_mesh_energy_ratio(seq, mesh, action) - 1.0)
     ok = sphere_err < 0.05 and torus_err < 0.005
     assert _line(
         "04", ok,
@@ -129,10 +129,10 @@ def test_criterion_05_sharpness_dichotomy():
 # ---------------------------------------------------------------- 6: critical shift
 
 
-def test_criterion_06_critical_shift_failure(sphere4):
+def test_criterion_06_critical_shift_failure(sphere4, alpha_failure_probe):
     s = sphere4
     rows = alpha_failure_probe(
-        s.ops, s.spectrum.eigenvectors[:, 0],
+        s.ops, s.red.expand(s.spectrum.eigenvectors[:, 0]),
         alpha=s.spectrum.lambda_1, t_grid=(1.0, 2.0, 4.0, 8.0),
     )
     rates = [row["growth_rate"] for row in rows]
@@ -315,21 +315,22 @@ def l4_problem(sphere4):
 
 
 def _competitor_values(spec, s, rng_seed=0, n_random=20):
+    # cap and random vertex values, each projected to the problem's constraint
+    # set (at level 2 that removes the first cluster) and scored on orbits
     beta = spec.beta
-    values = []
+    vertex_values = []
     k_grid = np.unique(np.logspace(1, 4, 10).round().astype(int))
     for r in (0.05, 0.1):
         for k in k_grid:
             seq = MoserSequence(
                 center=s.action.min_orbit_vertex, radius=r, k=float(k), ell=2
             )
-            u = moser_normalized(seq, s.ops, s.action, spec.norm_params)
-            values.append(exp_functional(u, beta, s.ops).value)
+            vertex_values.append(moser_evaluate(seq, s.mesh, s.action).values)
     rng = np.random.default_rng(rng_seed)
-    for _ in range(n_random):
-        u = normalized_competitor(rng.standard_normal(s.mesh.n_vertices), spec)
-        values.append(exp_functional(u, beta, s.ops).value)
-    return values
+    vertex_values += [rng.standard_normal(s.mesh.n_vertices) for _ in range(n_random)]
+    return [
+        exp_functional(normalized_competitor(v, spec), beta, s.red).value for v in vertex_values
+    ]
 
 
 def test_criterion_10_maximizer_dominates(sphere4, l4_problem):
@@ -375,12 +376,13 @@ def test_criterion_11_orbit_equipartition():
     )
 
 
-def test_criterion_12_second_level(sphere4):
+def test_criterion_12_second_level(sphere4, alpha_failure_probe):
     s = sphere4
     lam2 = s.spectrum.group_value(2)
     m1 = s.spectrum.groups[0][1]
     rows = alpha_failure_probe(
-        s.ops, s.spectrum.eigenvectors[:, m1], alpha=lam2, t_grid=(1.0, 2.0, 4.0, 8.0)
+        s.ops, s.red.expand(s.spectrum.eigenvectors[:, m1]), alpha=lam2,
+        t_grid=(1.0, 2.0, 4.0, 8.0),
     )
     rates = [row["growth_rate"] for row in rows]
     probe_ok = all(row["feasible"] for row in rows) and rates[0] > 0 and all(

@@ -26,7 +26,6 @@ from tmsurf.constructions import (
     log_integral_exp,
     min_orbit_separation,
     moser_evaluate,
-    moser_normalized,
     moser_semianalytic_log_value,
     radial_integral,
     radial_model,
@@ -46,6 +45,7 @@ from tmsurf.discretization import (
     project_invariant_meanzero,
 )
 from tmsurf.geometry import MeshError, build_flat_torus_mesh
+from tmsurf.maximizer import MaximizerError, ProblemSpec, normalized_competitor
 
 # ---------------------------------------------------------------- bubble
 
@@ -162,7 +162,7 @@ def test_logsumexp_matches_scipy_on_family_inputs(family_sweep, monkeypatch):
 def test_moser_flat_energy_formula(sphere3):
     for k in (10.0, 1e3):
         seq = MoserSequence(center=0, radius=0.1, k=k, ell=2)
-        report = moser_evaluate(seq, sphere3.mesh, sphere3.action, ops=sphere3.ops)
+        report = moser_evaluate(seq, sphere3.mesh, sphere3.action)
         assert report.flat_energy == pytest.approx(8 * np.pi * 2 * np.log(k), rel=1e-14)
         assert report.values.max() == pytest.approx(np.log(k), rel=1e-14)
         assert seq.plateau_radius == pytest.approx(0.1 * k**-0.25, rel=1e-14)
@@ -171,8 +171,9 @@ def test_moser_flat_energy_formula(sphere3):
 def test_moser_mesh_energy_tracks_flat(sphere3):
     # k = 1e3 puts the annulus well above the L3 mesh scale
     seq = MoserSequence(center=0, radius=0.1, k=1e3, ell=2)
-    report = moser_evaluate(seq, sphere3.mesh, sphere3.action, ops=sphere3.ops)
-    assert report.energy_ratio == pytest.approx(1.0, abs=0.02)
+    v = moser_evaluate(seq, sphere3.mesh, sphere3.action).values
+    ratio = float(v @ (sphere3.ops.stiffness @ v)) / (8 * np.pi * 2 * np.log(1e3))
+    assert ratio == pytest.approx(1.0, abs=0.02)
 
 
 def test_moser_orbit_separation(sphere3, sphere3_trivial):
@@ -204,21 +205,24 @@ def test_moser_sequence_validation():
         MoserSequence(center=0, radius=0.1, k=10.0, ell=0)
 
 
+def _cap_competitor(s, k):
+    spec = ProblemSpec(s.red, s.spectrum, 1, alpha=0.0, epsilon_sub=2 * np.pi)
+    values = moser_evaluate(MoserSequence(0, 0.1, k, 2), s.mesh, s.action).values
+    return spec, normalized_competitor(values, spec)
+
+
 def test_moser_normalized_unit_norm(sphere3):
-    params = NormParams(alpha=0.0, lambda_gap=sphere3.spectrum.lambda_1)
-    seq = MoserSequence(center=0, radius=0.1, k=100.0, ell=2)
-    u = moser_normalized(seq, sphere3.ops, sphere3.action, params)
-    assert norm_one_alpha(u, sphere3.ops, params) == pytest.approx(1.0, abs=1e-10)
+    spec, w = _cap_competitor(sphere3, 100.0)
+    u = sphere3.red.expand(w)
+    assert norm_one_alpha(u, sphere3.ops, spec.norm_params) == pytest.approx(1.0, abs=1e-10)
     assert abs(sphere3.ops.lumped @ u) < 1e-10
-    np.testing.assert_allclose(
-        project_invariant_meanzero(u, sphere3.ops, sphere3.action), u, atol=1e-14
-    )
+    np.testing.assert_allclose(project_invariant_meanzero(u, sphere3.red), w, atol=1e-14)
 
 
 def test_moser_normalized_k1_rejected(sphere3):
-    params = NormParams(alpha=0.0, lambda_gap=sphere3.spectrum.lambda_1)
-    with pytest.raises(ValueError):
-        moser_normalized(MoserSequence(0, 0.1, 1.0, 2), sphere3.ops, sphere3.action, params)
+    # k = 1 is the zero function, which has no unit-norm multiple
+    with pytest.raises(MaximizerError, match="vector vanishes"):
+        _cap_competitor(sphere3, 1.0)
 
 
 def test_moser_semianalytic_limits(sphere3):

@@ -17,6 +17,7 @@ from tmsurf.discretization import (
     orbit_reduction,
     project_invariant_meanzero,
     quadratic_form_sq,
+    remove_mass_mean,
 )
 from tmsurf.geometry import (
     SurfaceMesh,
@@ -196,7 +197,7 @@ def test_torus_fourier_mode_energy(torus24):
 def test_quadratic_form_and_norm(sphere3, rng):
     ops = sphere3.ops
     params = NormParams(alpha=1.5, lambda_gap=sphere3.spectrum.lambda_1)
-    u = project_invariant_meanzero(rng.standard_normal(ops.n), ops, sphere3.action)
+    u = sphere3.red.expand(project_invariant_meanzero(rng.standard_normal(ops.n), sphere3.red))
     q = quadratic_form_sq(u, ops, params.alpha)
     k = float(u @ (ops.stiffness @ u))
     m = float(u @ (ops.mass @ u))
@@ -210,15 +211,22 @@ def test_norm_params_validation():
         NormParams(alpha=6.0, lambda_gap=6.0)
 
 
-def test_projection_is_idempotent_and_invariant(sphere3, rng):
-    ops, action = sphere3.ops, sphere3.action
-    u = rng.standard_normal(ops.n)
-    p = project_invariant_meanzero(u, ops, action)
-    assert abs(float(ops.lumped @ p)) < 1e-12 * ops.mesh.total_area
-    for perm in action.permutations:
-        assert np.array_equal(p[perm], p)
-    p2 = project_invariant_meanzero(p, ops, action)
-    assert np.max(np.abs(p2 - p)) < 1e-13 * max(1.0, np.max(np.abs(p)))
+def test_projection_is_idempotent_and_invariant(sphere3, sphere3_dihedral4, rng):
+    # a separate generator for the second mesh keeps the shared rng's later draws
+    for s, gen in ((sphere3, rng), (sphere3_dihedral4, np.random.default_rng(5))):
+        ops, action, red = s.ops, s.action, s.red
+        u = gen.standard_normal(ops.n)
+        w = project_invariant_meanzero(u, red)
+        assert w.shape == (red.n,)
+        p = red.expand(w)
+        assert abs(float(ops.lumped @ p)) < 1e-12 * ops.mesh.total_area
+        for perm in action.permutations:
+            assert np.array_equal(p[perm], p)
+        # the orbit mean is the group average over the permutation table
+        average = remove_mass_mean(u[action.permutations].mean(axis=0), ops)
+        assert np.max(np.abs(p - average)) < 1e-14
+        p2 = red.expand(project_invariant_meanzero(p, red))
+        assert np.max(np.abs(p2 - p)) < 1e-13 * max(1.0, np.max(np.abs(p)))
 
 
 def test_exp_functional_zero_and_shift_stability(sphere3):

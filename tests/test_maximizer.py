@@ -6,20 +6,27 @@ functional is Vol + beta/(lambda_1 - alpha) + O(beta^2), with the maximizer
 inside the first invariant eigencluster.
 """
 
+import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from tmsurf import discretization
 from tmsurf.constructions import BubbleProfile, green_solve
-from tmsurf.discretization import NormParams, exp_functional, norm_one_alpha, quadratic_form_sq
+from tmsurf.discretization import (
+    NormParams,
+    exp_functional,
+    norm_one_alpha,
+    orbit_reduction,
+    quadratic_form_sq,
+)
 from tmsurf.geometry import geodesic_distance
 from tmsurf.maximizer import (
     MaximizerError,
     MaximizerState,
     ProblemSpec,
-    alpha_failure_probe,
     blowup_diagnostics,
     multiplier_report,
     normalized_competitor,
@@ -27,7 +34,7 @@ from tmsurf.maximizer import (
     solve_subcritical,
 )
 from tmsurf.constructions.radial import RadialModel
-from tmsurf.spectrum import rayleigh_quotient
+from tmsurf.spectrum import invariant_spectrum
 
 
 def _spec(s, epsilon_sub, level=1, alpha_frac=0.25):
@@ -55,7 +62,7 @@ def test_quadratic_regime_value(sphere3, quadratic_state):
 def test_quadratic_regime_eigencluster(sphere3, quadratic_state):
     _, state = quadratic_state
     # maximizer sits in the lambda_1 cluster: 5 invariant vectors at L3
-    basis = sphere3.spectrum.eigenvectors[:, :5]
+    basis = sphere3.red.expand(sphere3.spectrum.eigenvectors[:, :5])
     mu = sphere3.ops.mass @ state.u
     inside = float(np.sum((basis.T @ mu) ** 2))
     total = float(state.u @ mu)
@@ -135,7 +142,7 @@ def test_returned_state_exactly_invariant(request, setup):
 
 
 @pytest.fixture
-def group_sorts(monkeypatch):
+def projection_calls(monkeypatch):
     """Calls of project_invariant_meanzero, through every module that binds it."""
     calls = []
     orig = discretization.project_invariant_meanzero
@@ -151,18 +158,58 @@ def group_sorts(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", ["moser", "random", "array", "symmetric"])
-def test_group_sort_only_on_vertex_seed(sphere3, group_sorts, seed):
-    # one group sort projects a vertex seed; none runs in the loop or the Green solve
+def test_one_projection_per_vertex_seed(sphere3, projection_calls, seed):
+    # one projection takes a vertex seed to orbits; none runs in the loop or the Green solve
     spec = _spec(sphere3, epsilon_sub=2 * np.pi)
-    sorts = 0 if seed == "symmetric" else 1
+    calls = 0 if seed == "symmetric" else 1
     if seed == "array":
         seed = np.random.default_rng(3).standard_normal(sphere3.ops.n)
     state = solve_subcritical(spec, seed)
     assert state.converged and state.iterations > 1
-    assert len(group_sorts) == sorts
+    assert len(projection_calls) == calls
     params = NormParams(alpha=spec.alpha, lambda_gap=sphere3.spectrum.lambda_1)
     green_solve(sphere3.red, 0, params)
-    assert len(group_sorts) == sorts
+    assert len(projection_calls) == calls
+
+
+@pytest.fixture(scope="module")
+def zero_table(sphere3):
+    """sphere3's orbit space whose action has its permutation table zeroed."""
+    action = dataclasses.replace(
+        sphere3.action, permutations=np.zeros_like(sphere3.action.permutations)
+    )
+    return orbit_reduction(sphere3.ops, action)
+
+
+def _same_state(a, b):
+    np.testing.assert_array_equal(a.u, b.u)
+    assert (a.value, a.log_value, a.residual, a.iterations) == (
+        b.value, b.log_value, b.residual, b.iterations
+    )
+
+
+@pytest.mark.parametrize("seed", ["moser", "random", "array", "symmetric"])
+def test_solver_layers_read_no_permutation_table(sphere3, zero_table, seed):
+    # orbit unknowns come from orbit_index alone: the solver layers must give
+    # the same bits whatever the permutation table holds
+    spectrum = invariant_spectrum(zero_table, count=len(sphere3.spectrum.eigenvalues))
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        np.testing.assert_array_equal(getattr(spectrum, name), getattr(sphere3.spectrum, name))
+    if seed == "array":
+        seed = np.random.default_rng(3).standard_normal(sphere3.ops.n)
+    states = []
+    for red, spec in ((sphere3.red, sphere3.spectrum), (zero_table, spectrum)):
+        alpha = 0.25 * spec.lambda_1
+        states.append(solve_subcritical(ProblemSpec(red, spec, 1, alpha, 2 * np.pi), seed))
+    _same_state(*states)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # resolution warnings of the coarse mesh
+        diags = [blowup_diagnostics(st, radii=(0.4, 0.8), c_threshold=0.0) for st in states]
+    np.testing.assert_array_equal(diags[0].local_energies, diags[1].local_energies)
+    assert diags[0].r_eps == diags[1].r_eps
+    params = NormParams(alpha=0.25 * spectrum.lambda_1, lambda_gap=spectrum.lambda_1)
+    greens = [green_solve(red, 0, params) for red in (sphere3.red, zero_table)]
+    np.testing.assert_array_equal(greens[0].values, greens[1].values)
 
 
 def test_unknown_seed_rejected(sphere3):
@@ -173,7 +220,9 @@ def test_unknown_seed_rejected(sphere3):
 
 def test_normalized_competitor(sphere3, moderate_state, rng):
     spec, _ = moderate_state
-    v = normalized_competitor(rng.standard_normal(sphere3.mesh.n_vertices), spec)
+    w = normalized_competitor(rng.standard_normal(sphere3.mesh.n_vertices), spec)
+    assert w.shape == (sphere3.red.n,)
+    v = sphere3.red.expand(w)
     assert norm_one_alpha(v, sphere3.ops, spec.norm_params) == pytest.approx(1.0, abs=1e-10)
     assert abs(sphere3.ops.lumped @ v) < 1e-10
     for perm in sphere3.action.permutations:
@@ -183,18 +232,20 @@ def test_normalized_competitor(sphere3, moderate_state, rng):
 # ---------------------------------------------------------------- second level
 
 
-def test_normalized_competitor_second_level(sphere3, rng):
+def test_normalized_competitor_second_level(sphere3, rng, rayleigh_quotient):
     # alpha just below the level-2 gap is admissible on the complement
     spec = _spec(sphere3, epsilon_sub=2 * np.pi, level=2, alpha_frac=0.9)
-    ops, removed = sphere3.ops, sphere3.red.expand(spec.orbit_basis)
+    red = sphere3.red
+    ops, removed = sphere3.ops, red.expand(spec.orbit_basis)
     values = rng.standard_normal(ops.n)
-    v = normalized_competitor(values, spec)
+    v = red.expand(normalized_competitor(values, spec))
     assert norm_one_alpha(v, ops, spec.norm_params) == pytest.approx(1.0, abs=1e-10)
     assert abs(ops.lumped @ v) < 1e-10
     assert np.max(np.abs(removed.T @ (ops.mass @ v))) < 1e-10
     assert rayleigh_quotient(v, ops) > spec.lambda_level * (1 - 1e-8)
     # components along the removed cluster are annihilated
-    np.testing.assert_allclose(normalized_competitor(values + removed.sum(axis=1), spec), v, atol=1e-10)
+    shifted = red.expand(normalized_competitor(values + removed.sum(axis=1), spec))
+    np.testing.assert_allclose(shifted, v, atol=1e-10)
 
 
 def test_second_level_multipliers(sphere3):
@@ -348,8 +399,8 @@ def test_sharpness_probe_separates_regimes():
     assert sup["log_values"] == sorted(sup["log_values"])
 
 
-def test_alpha_failure_probe_growth(sphere3):
-    e1 = sphere3.spectrum.eigenvectors[:, 0]
+def test_alpha_failure_probe_growth(sphere3, alpha_failure_probe):
+    e1 = sphere3.red.expand(sphere3.spectrum.eigenvectors[:, 0])
     lam1 = sphere3.spectrum.lambda_1
     rows = alpha_failure_probe(sphere3.ops, e1, alpha=lam1, t_grid=(1.0, 2.0, 4.0, 8.0))
     assert all(row["feasible"] for row in rows)

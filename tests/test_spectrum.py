@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from tmsurf.maximizer import ProblemSpec
-from tmsurf.spectrum import SpectrumError, invariant_spectrum, rayleigh_quotient
+from tmsurf.spectrum import SpectrumError, invariant_spectrum
 
 
 def test_sphere_trivial_spectrum(sphere3_trivial):
@@ -36,9 +36,10 @@ def test_torus_spectrum(torus24):
     assert m1 == 4
 
 
-def test_eigenvectors_orthonormal_meanzero_invariant(sphere3):
+def test_eigenvectors_orthonormal_meanzero_invariant(sphere3, rayleigh_quotient):
     spec, ops, action = sphere3.spectrum, sphere3.ops, sphere3.action
-    E = spec.eigenvectors
+    assert spec.eigenvectors.shape == (action.n_orbits, len(spec.eigenvalues))
+    E = sphere3.red.expand(spec.eigenvectors)
     gram = E.T @ (ops.mass @ E)
     assert np.max(np.abs(gram - np.eye(E.shape[1]))) < 1e-10
     means = ops.lumped @ E
@@ -49,6 +50,19 @@ def test_eigenvectors_orthonormal_meanzero_invariant(sphere3):
     for i in range(E.shape[1]):
         rq = rayleigh_quotient(E[:, i], ops)
         assert rq == pytest.approx(spec.eigenvalues[i], rel=1e-10)
+
+
+@pytest.mark.parametrize("setup", ["sphere3", "sphere4", "torus24"])
+def test_orbit_residuals_and_sign_match_vertex_vectors(request, setup):
+    # residuals are computed on orbits; the vertex recomputation of the
+    # expanded vectors must agree, and the first argmax vertex is positive
+    s = request.getfixturevalue(setup)
+    spec, ops = s.spectrum, s.ops
+    E = s.red.expand(spec.eigenvectors)
+    vertex = np.linalg.norm(ops.stiffness @ E - (ops.mass @ E) * spec.eigenvalues, axis=0)
+    np.testing.assert_allclose(spec.residuals, vertex, rtol=1e-2, atol=0)
+    peaks = E[np.argmax(np.abs(E), axis=0), np.arange(E.shape[1])]
+    assert np.all(peaks > 0)
 
 
 def test_sparse_path_matches_dense(sphere4_trivial):
@@ -89,7 +103,7 @@ def test_complement_level_two_removes_first_cluster(sphere3):
     spec = _problem(sphere3, 2)
     m1 = spectrum.groups[0][1]
     assert spec.lambda_level == spectrum.group_value(2)
-    np.testing.assert_array_equal(spec.orbit_basis, spectrum.eigenvectors[sphere3.red.reps, :m1])
+    np.testing.assert_array_equal(spec.orbit_basis, spectrum.eigenvectors[:, :m1])
 
 
 def test_complement_level_out_of_range(sphere3):
