@@ -111,7 +111,7 @@ def green_solve(red: OrbitReduction, source: int, params: NormParams) -> GreenDe
     ops, action = red.ops, red.action
     if not 0 <= source < ops.n:
         raise GreenError(f"source vertex {source} out of range")
-    orbit = np.flatnonzero(action.orbit_index == action.orbit_index[source])
+    orbit = action.orbit_of(source)
     ell = len(orbit)
     if ell != action.min_orbit_size:
         warnings.warn(

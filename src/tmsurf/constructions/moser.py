@@ -54,10 +54,6 @@ class MoserReport:
     flat_energy: float  # 8*pi*ell*log k
 
 
-def _orbit_of(action: GroupAction, center: int) -> np.ndarray:
-    return np.flatnonzero(action.orbit_index == action.orbit_index[center])
-
-
 def min_orbit_separation(mesh: SurfaceMesh, action: GroupAction, center: int) -> float:
     """Minimal pairwise geodesic distance within the center's orbit.
 
@@ -67,7 +63,7 @@ def min_orbit_separation(mesh: SurfaceMesh, action: GroupAction, center: int) ->
     center (bitwise for signed-permutation groups, to round-off for an
     imported group), so the center's row holds the minimum.
     """
-    orbit = _orbit_of(action, center)
+    orbit = action.orbit_of(center)
     if len(orbit) == 1:
         return 2.0 * max_radius(mesh)
     d = geodesic_distance(mesh, center)[orbit]
@@ -90,7 +86,7 @@ def _profile(rho: np.ndarray, r: float, k: int) -> np.ndarray:
 
 def moser_evaluate(seq: MoserSequence, mesh: SurfaceMesh, action: GroupAction) -> MoserReport:
     """Vertex samples of the symmetrized cap function with its flat-model energy."""
-    orbit = _orbit_of(action, seq.center)
+    orbit = action.orbit_of(seq.center)
     if len(orbit) != seq.ell:
         raise ValueError(f"center {seq.center} has orbit size {len(orbit)}, sequence says {seq.ell}")
     if len(orbit) != action.min_orbit_size:

@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from ._sums import segment_sorted_sum, sorted_dot, sorted_sum
 
@@ -112,6 +114,10 @@ class GroupAction:
         """The lowest vertex on an orbit of the minimal size."""
         return int(np.argmin(self.orbit_sizes[self.orbit_index]))
 
+    def orbit_of(self, v: int) -> np.ndarray:
+        """The vertices on the orbit of vertex ``v``, in increasing order."""
+        return np.flatnonzero(self.orbit_index == self.orbit_index[v])
+
 
 # ---------------------------------------------------------------------------
 # base polyhedra and subdivision
@@ -178,8 +184,14 @@ def _edge_keys(n_vertices: int, tris: np.ndarray) -> np.ndarray:
     Sorting the keys orders the edges exactly as a lexicographic row sort of
     the (a, b) pairs would, at a fraction of the cost of ``unique(axis=0)``.
     """
-    pairs = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-    return pairs[:, 0] * n_vertices + pairs[:, 1]
+    ends = np.roll(tris, -1, axis=1)
+    return (np.minimum(tris, ends) * n_vertices + np.maximum(tris, ends)).ravel()
+
+
+def _edges(n_vertices: int, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge once, as the pair (a, b) with a < b."""
+    keys = np.sort(_edge_keys(n_vertices, tris))
+    return np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], n_vertices)
 
 
 def _subdivide(verts: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,25 +330,6 @@ def _sphere_generators(kind: str, m) -> list[np.ndarray]:
     return gens
 
 
-def _close_matrix_group(gens: list[np.ndarray]) -> list[np.ndarray]:
-    ident = np.eye(3, dtype=np.int64)
-    elems = {ident.tobytes(): ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                b = a @ g
-                key = b.tobytes()
-                if key not in elems:
-                    elems[key] = b
-                    fresh.append(b)
-        frontier = fresh
-        if len(elems) > 96:
-            raise GroupError("group closure did not terminate at a small order")
-    return [elems[k] for k in sorted(elems)]
-
-
 def _row_bytes(points: np.ndarray) -> np.ndarray:
     """Each row of a float array as one opaque value, equal iff bitwise equal."""
     rows = np.ascontiguousarray(points, dtype=np.float64)
@@ -365,71 +358,140 @@ def _vertex_permutations(verts: np.ndarray, mats: list[np.ndarray], name: str) -
     return perms
 
 
+# Leading entries of a permutation row that key it in a lookup; rows with
+# equal keys are compared in full, so the key length only affects speed.
+_KEY_LEN = 16
+
+
+def _index_rows(rows) -> dict:
+    """Row positions grouped by the rows' leading entries, for ``_find``."""
+    index: dict = {}
+    for i, row in enumerate(rows):
+        index.setdefault(row[:_KEY_LEN].tobytes(), []).append(i)
+    return index
+
+
+def _find(rows, index: dict, row: np.ndarray) -> int | None:
+    """Position of the first of ``rows`` equal to ``row``, or None."""
+    for i in index.get(row[:_KEY_LEN].tobytes(), ()):
+        if np.array_equal(rows[i], row):
+            return i
+    return None
+
+
+def _lex_order(rows: list) -> np.ndarray:
+    """Order of distinct rows sorted lexicographically, read off the shortest
+    prefix (of doubling length) that tells them apart."""
+    k = 1
+    while True:
+        head = np.stack([row[:k] for row in rows])
+        order = np.lexsort(head.T[::-1])
+        head = head[order]
+        if k >= len(rows[0]) or np.all(np.any(head[1:] != head[:-1], axis=1)):
+            return order
+        k *= 2
+
+
+def _close(gens: np.ndarray, limit: int) -> np.ndarray:
+    """The permutation group generated by the rows of ``gens`` (k, n).
+
+    A breadth-first walk from the identity composes ``a[g]`` for each element
+    ``a`` held and each generator ``g``: one n-length gather per product.
+    Rows come back in lexicographic order, so the identity is first.  Raises
+    GroupError as soon as more than ``limit`` elements are held.
+    """
+    elems = [np.arange(gens.shape[1], dtype=np.int64)]
+    index = _index_rows(elems)
+    for a in elems:  # the list grows while it is walked
+        for g in gens:
+            b = a[g]
+            if _find(elems, index, b) is not None:
+                continue
+            if len(elems) == limit:
+                raise GroupError(f"the generators give more than {limit} permutations")
+            index.setdefault(b[:_KEY_LEN].tobytes(), []).append(len(elems))
+            elems.append(b)
+    return np.stack([elems[i] for i in _lex_order(elems)])
+
+
 def _orbits_from_perms(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reps = perms.min(axis=0)  # canonical representative per vertex
     _, orbit_index = np.unique(reps, return_inverse=True)
     return orbit_index.astype(np.int64), np.bincount(orbit_index).astype(np.int64)
 
 
-def _check_triangle_equivariance(tris: np.ndarray, perms: np.ndarray, name: str) -> tuple[int, int]:
-    """Require every permutation to map the triangle set onto itself, and
-    return the largest setwise stabilizer of an edge and of a triangle.
+def _sorted_corners(corners: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(3, m) corner indices -> (a*n + b, c) of each triangle's sorted corners
+    a < b < c, ordered by a*n + b: searches run several times faster on
+    sorted queries."""
+    x, y, z = corners
+    a = np.minimum(np.minimum(x, y), z)
+    c = np.maximum(np.maximum(x, y), z)
+    pairs = a * n + (x + y + z - a - c)
+    order = np.argsort(pairs)
+    return pairs[order], c[order]
+
+
+def _check_triangle_equivariance(tris: np.ndarray, gens: np.ndarray, name: str) -> None:
+    """Require every generator to map the triangle set onto itself; every
+    product of generators then does too.
 
     A triangle with sorted corners a < b < c gets the exact int64 key
     rank(a*n + b) * n + c, the rank being the first position of a*n + b among
     the mesh's own sorted (a, b) pairs; it stays below m n, where
     (a*n + b)*n + c would overflow for n >= 2**21.  An image pair missing
-    from the mesh already fails.  An edge {a, b}, a < b, has the key a*n + b.
-    A permutation fixes a simplex setwise when it keeps its key; the counts
-    start at one for the identity, which the loop skips.
+    from the mesh already fails.
+    """
+    n = gens.shape[1]
+    known, corner = _sorted_corners(tris.T, n)
+    canon = np.sort(np.searchsorted(known, known) * n + corner)
+    for g in gens:
+        pairs, corner = _sorted_corners(g[tris.T], n)
+        rank = np.minimum(np.searchsorted(known, pairs), len(known) - 1)
+        if not (
+            np.array_equal(known[rank], pairs)
+            and np.array_equal(canon, np.sort(rank * n + corner))
+        ):
+            raise GroupError(f"group {name!r} does not preserve the triangle set")
+
+
+def _simplex_stabilizers(tris: np.ndarray, perms: np.ndarray) -> tuple[int, int]:
+    """The largest setwise stabilizer of an edge and of a triangle.
+
+    A permutation that fixes a simplex setwise maps its first corner to one of
+    its corners; the few simplices that pass this test are compared in full,
+    an edge {a, b} by its image and a triangle by its sorted corners.  The
+    counts start at one for the identity, which the loop skips.
     """
     n = perms.shape[1]
     identity = np.arange(n)
-
-    def pair_and_corner(corners):  # (3, m) corner indices -> (a*n + b, c)
-        x, y, z = corners
-        a = np.minimum(np.minimum(x, y), z)
-        c = np.maximum(np.maximum(x, y), z)
-        return a * n + (x + y + z - a - c), c
-
-    def side_keys(corners):  # (3, m) corner indices -> key of the sides 01, 12, 20
-        x, y, z = corners
-        return [np.minimum(u, v) * n + np.maximum(u, v) for u, v in ((x, y), (y, z), (z, x))]
-
-    pairs, corner = pair_and_corner(tris.T)
-    known = np.sort(pairs, kind="stable")
-    own = np.searchsorted(known, pairs) * n + corner
-    canon = np.sort(own, kind="stable")
-    own_sides = side_keys(tris.T)
+    a, b = _edges(n, tris)
+    x, y, z = np.ascontiguousarray(tris.T)
+    own = np.sort(tris, axis=1)
+    edge_stab = np.ones(len(a), dtype=np.int64)
     tri_stab = np.ones(len(tris), dtype=np.int64)
-    side_stab = np.ones((3, len(tris)), dtype=np.int64)
     for p in perms:
         if np.array_equal(p, identity):
             continue
-        image = p[tris.T]
-        pairs, corner = pair_and_corner(image)
-        rank = np.minimum(np.searchsorted(known, pairs), len(known) - 1)
-        keys = rank * n + corner
-        if not (
-            np.array_equal(known[rank], pairs)
-            and np.array_equal(canon, np.sort(keys, kind="stable"))
-        ):
-            raise GroupError(f"group {name!r} does not preserve the triangle set")
-        tri_stab += keys == own
-        for count, key, image_key in zip(side_stab, own_sides, side_keys(image)):
-            count += key == image_key
-    return int(side_stab.max()), int(tri_stab.max())
+        pa = p[a]
+        hit = np.flatnonzero((pa == a) | (pa == b))
+        edge_stab[hit] += p[b[hit]] == np.where(pa[hit] == a[hit], b[hit], a[hit])
+        px = p[x]
+        hit = np.flatnonzero((px == x) | (px == y) | (px == z))
+        tri_stab[hit] += np.all(np.sort(p[tris[hit]], axis=1) == own[hit], axis=1)
+    return int(edge_stab.max()), int(tri_stab.max())
 
 
-def _check_simplex_orbits(tris: np.ndarray, action: GroupAction) -> None:
-    """Require the triangle set to be preserved and no edge or triangle to lie
-    on an orbit smaller than the smallest vertex orbit.
+def _check_simplex_orbits(tris: np.ndarray, action: GroupAction, gens: np.ndarray) -> None:
+    """Require the generators to preserve the triangle set and no edge or
+    triangle to lie on an orbit smaller than the smallest vertex orbit.
 
     ell is the minimum orbit size over the whole surface.  A simplex's
     barycentre has the orbit size |G| / |setwise stabilizer|, the smallest
     over its points; a minimum reached only there leaves no vertex to carry it.
     """
-    stabs = _check_triangle_equivariance(tris, action.permutations, action.name)
+    _check_triangle_equivariance(tris, gens, action.name)
+    stabs = _simplex_stabilizers(tris, action.permutations)
     for kind, stab in zip(("an edge", "a triangle"), stabs):
         size = action.order // stab
         if size < action.min_orbit_size:
@@ -464,39 +526,58 @@ def check_group_action(mesh: SurfaceMesh, action: GroupAction) -> None:
     """Require distinct rows with the identity, closed under composition,
     preserving the triangle set and every edge length, and with its smallest
     orbit on a vertex; otherwise orbits, order or ell are wrong, or the group
-    is not an isometry group."""
-    perms = action.permutations
-    rows = {p.tobytes() for p in perms}
-    if len(rows) != len(perms):
-        raise GroupError(f"group {action.name!r} repeats a permutation")
-    identity = np.arange(perms.shape[1], dtype=perms.dtype).tobytes()
-    if identity not in rows:
-        raise GroupError(f"group {action.name!r} has no identity permutation")
-    for p in perms:
-        if any(p[q].tobytes() not in rows for q in perms):
-            raise GroupError(f"group {action.name!r} is not closed under composition")
-    _check_simplex_orbits(mesh.triangles, action)
-    u, v = mesh.triangles.ravel(), np.roll(mesh.triangles, -1, axis=1).ravel()  # every side
-    sq = _edge_sq(mesh, u, v)
-    for p in perms:
-        if p.tobytes() == identity:
-            continue
-        mismatch = float(np.max(np.abs(_edge_sq(mesh, p[u], p[v]) - sq) / sq))
+    is not an isometry group.
+
+    Generators are picked from the table in row order, each row that the
+    closure of those before it lacks.  The table is a group when that closure,
+    capped at the table's row count, holds every row.  The triangle set and
+    the edge lengths are tested on the generators alone, since products of
+    maps that keep both keep them too; the 1e-9 edge tolerance then holds to
+    (word length) * 1e-9 for a product.
+    """
+    perms, name = action.permutations, action.name
+    index = _index_rows(perms)
+    if any(_find(perms, index, p) != i for i, p in enumerate(perms)):
+        raise GroupError(f"group {name!r} repeats a permutation")
+    if _find(perms, index, np.arange(perms.shape[1])) is None:
+        raise GroupError(f"group {name!r} has no identity permutation")
+    picked: list[int] = []
+    group = _close(perms[picked], 1)
+    found = _index_rows(group)
+    for i, p in enumerate(perms):
+        if _find(group, found, p) is None:
+            picked.append(i)
+            try:
+                group = _close(perms[picked], len(perms))
+            except GroupError as exc:
+                raise GroupError(f"group {name!r} is not closed under composition: {exc}") from None
+            found = _index_rows(group)
+    # the closure now holds every row and has at most as many rows, all distinct: it is the table
+    gens = perms[picked]
+    _check_simplex_orbits(mesh.triangles, action, gens)
+    a, b = _edges(mesh.n_vertices, mesh.triangles)
+    sq = _edge_sq(mesh, a, b)
+    for g in gens:
+        mismatch = float(np.max(np.abs(_edge_sq(mesh, g[a], g[b]) - sq) / sq))
         if mismatch > _ISOMETRY_RTOL:
             raise GroupError(
-                f"group {action.name!r} is not an isometry: a squared edge length "
+                f"group {name!r} is not an isometry: a squared edge length "
                 f"changes by {mismatch:.3g} (relative) under one of its permutations"
             )
+
+
+# Every sphere generator is a signed permutation matrix; those form a group of order 48.
+_SIGNED_PERMUTATIONS = 48
 
 
 def _sphere_action(mesh: SurfaceMesh, group_kind: str) -> GroupAction:
     kind, m = _parse_kind(group_kind)
     if kind == "shift":
         raise GroupError("shift groups act on tori, not spheres")
-    mats = _close_matrix_group(_sphere_generators(kind, m))
-    perms = _vertex_permutations(mesh.vertices, mats, group_kind)
+    gens = _vertex_permutations(mesh.vertices, _sphere_generators(kind, m), group_kind)
+    perms = _close(gens, _SIGNED_PERMUTATIONS)
     action = GroupAction(group_kind, perms, *_orbits_from_perms(perms))
-    _check_simplex_orbits(mesh.triangles, action)
+    _check_simplex_orbits(mesh.triangles, action, gens)
     return action
 
 
@@ -523,22 +604,13 @@ def _torus_action(mesh: SurfaceMesh, gens: list[tuple[int, int]], name: str) -> 
             raise GroupError(
                 f"offending generator: shift({sx},{sy}) does not divide the {nx}x{ny} grid evenly"
             )
-    shifts = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        fresh = []
-        for cx, cy in frontier:
-            for sx, sy in gens:
-                nxt = ((cx + sx) % nx, (cy + sy) % ny)
-                if nxt not in shifts:
-                    shifts.add(nxt)
-                    fresh.append(nxt)
-        frontier = fresh
-    i = mesh.grid_index[:, 0]
-    j = mesh.grid_index[:, 1]
-    perms = np.stack(
-        [((i + sx) % nx) * ny + ((j + sy) % ny) for sx, sy in sorted(shifts)]
-    ).astype(np.int64)
+    i, j = mesh.grid_index[:, 0], mesh.grid_index[:, 1]
+    steps = np.empty((len(gens), mesh.n_vertices), dtype=np.int64)
+    for row, (sx, sy) in zip(steps, gens):
+        row[:] = ((i + sx) % nx) * ny + (j + sy) % ny
+    # No simplex check: for nx, ny >= 3 a nontrivial grid translation fixes no
+    # vertex, edge or triangle, and it maps the grid triangulation onto itself.
+    perms = _close(steps, nx * ny)
     orbit_index, orbit_sizes = _orbits_from_perms(perms)
     return GroupAction(name, perms, orbit_index, orbit_sizes)
 
@@ -770,10 +842,20 @@ def read_off(path) -> SurfaceMesh:
         raise MeshError("only triangle faces are supported")
     tris = np.ascontiguousarray(faces[:, 1:])
     if surface[0] == "torus":
-        return _reimport_torus(verts, tris, (surface[1], surface[2]))
-    if surface[0] == "sphere":
-        return _finish_mesh(verts, tris, "sphere", level=surface[1])
-    return _finish_mesh(verts, tris, "imported")
+        mesh = _reimport_torus(verts, tris, (surface[1], surface[2]))
+    elif surface[0] == "sphere":
+        mesh = _finish_mesh(verts, tris, "sphere", level=surface[1])
+    else:
+        mesh = _finish_mesh(verts, tris, "imported")
+    # one closed surface: on several, the constants of each component are
+    # extra kernel vectors, and spectra and Green solves come out wrong
+    n, (x, y, z) = mesh.n_vertices, tris.T
+    links = (np.r_[x, x], np.r_[y, z])  # each triangle joins its first corner to the others
+    graph = sp.csr_matrix((np.ones(2 * len(tris), dtype=np.int8), links), shape=(n, n))
+    count = csgraph.connected_components(graph, directed=False)[0]
+    if count > 1:
+        raise MeshError(f"mesh has {count} connected components; one closed surface is required")
+    return mesh
 
 
 def _reimport_torus(verts: np.ndarray, tris: np.ndarray, periods) -> SurfaceMesh:

@@ -131,7 +131,7 @@ class ProblemSpec:
 
 @dataclass(eq=False)
 class MaximizerState:
-    u: np.ndarray  # invariant, mean-zero, complement member, |u|_(1,alpha) = 1
+    w: np.ndarray  # orbit vector: mean-zero, complement member, |w|_(1,alpha) = 1
     lambda_eps: float  # int u^2 e^(beta u^2)
     mu_eps: float  # (1/Vol) int u e^(beta u^2)
     gammas: np.ndarray  # multipliers of the removed eigenvectors (empty at level 1)
@@ -143,6 +143,11 @@ class MaximizerState:
     iterations: int
     converged: bool
     spec: ProblemSpec = field(repr=False, default=None)
+
+    @property
+    def u(self) -> np.ndarray:
+        """The state on the vertices, an exact copy of ``w`` per orbit."""
+        return self.spec.red.expand(self.w)
 
 
 def _constrain(spec: ProblemSpec, w: np.ndarray) -> np.ndarray:
@@ -231,8 +236,8 @@ def solve_subcritical(
     shrink the dual-norm defect without losing functional value beyond
     round-off.  Non-convergence returns the best iterate flagged, never
     raises.  The iterates are orbit vectors, solved with the factorization
-    ``spec.red`` holds at ``spec.alpha``; the returned state holds their
-    expansion.
+    ``spec.red`` holds at ``spec.alpha``; the returned state keeps the
+    orbit vector and expands it on demand.
     """
     red = spec.red
     solve = red.shifted_solver(spec.alpha)
@@ -294,14 +299,13 @@ def solve_subcritical(
     nrm = norm_one_alpha(w, red, spec.norm_params)
     if abs(nrm - 1.0) > 1e-10:
         raise MaximizerError(f"normalization drifted: |u|_(1,alpha) = {nrm!r}")
-    u = red.expand(w)
     state = MaximizerState(
-        u=u,
+        w=w,
         lambda_eps=float(lam_sh * np.exp(shift)),
         mu_eps=float(mu_sh * np.exp(shift)),
         gammas=gammas,
         c_eps=float(np.max(np.abs(w))),
-        x_eps=int(np.argmax(np.abs(u))),
+        x_eps=int(np.argmax(np.abs(red.expand(w)))),
         value=val.value,
         log_value=val.log_value,
         residual=res,
@@ -337,7 +341,7 @@ def multiplier_report(state: MaximizerState) -> MultiplierReport:
     """
     spec = state.spec
     red, basis = spec.red, spec.orbit_basis
-    w = state.u[red.reps]
+    w = state.w
     load, _, shift, lam_sh, mu_sh, gammas = _multipliers(spec, w)
     kw = red.stiffness @ w - spec.alpha * (red.mass @ w)
 
@@ -421,9 +425,10 @@ def blowup_diagnostics(
     )
     r_eps = float(np.exp(log_r))
 
-    orbit = np.flatnonzero(action.orbit_index == action.orbit_index[state.x_eps])
+    orbit = action.orbit_of(state.x_eps)
     radii = np.asarray(radii, dtype=float)
-    e_tri = triangle_dirichlet_energies(state.u, mesh)
+    u = state.u
+    e_tri = triangle_dirichlet_energies(u, mesh)
     tri = mesh.triangles
     local = np.empty((len(orbit), len(radii)))
     for i, p in enumerate(orbit):
@@ -431,7 +436,7 @@ def blowup_diagnostics(
         tri_dist = dist[tri].max(axis=1)
         for j, r in enumerate(radii):
             local[i, j] = sorted_sum(e_tri[tri_dist <= r])
-    budget = float(state.u @ (spec.ops.stiffness @ state.u))
+    budget = float(u @ (spec.ops.stiffness @ u))
     fractions = local.sum(axis=0) / budget
 
     h = mean_edge_length(mesh)
@@ -446,7 +451,7 @@ def blowup_diagnostics(
             resolution_warning = True
         else:
             y = dist[inside] / r_eps
-            rescaled = state.c_eps * (state.u[inside] - state.c_eps)
+            rescaled = state.c_eps * (u[inside] - state.c_eps)
             profile_error = float(np.max(np.abs(rescaled - BubbleProfile(ell)(y))))
     if resolution_warning:
         warnings.warn(

@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse.linalg
 
 from tmsurf import cli, geometry
-from tmsurf.geometry import GroupError, check_group_action, read_group_json, read_off
+from tmsurf.geometry import GroupError, MeshError, check_group_action, read_group_json, read_off
 
 
 def _run_config(tmp_path, name="run.json", **overrides):
@@ -248,7 +248,7 @@ def test_group_with_smaller_face_orbits_exits_2(tmp_path, capsys):
     inversion = -np.eye(3, dtype=np.int64)
     streams = {}
     for name, gens, code in (("T", [cyc, rot], 2), ("Th", [cyc, rot, inversion], 0)):
-        perms = geometry._vertex_permutations(verts, geometry._close_matrix_group(gens), name)
+        perms = geometry._close(geometry._vertex_permutations(verts, gens, name), 48)
         export = tmp_path / f"{name}.json"
         export.write_text(json.dumps({"name": name, "permutations": perms.tolist()}))
         capsys.readouterr()
@@ -259,6 +259,26 @@ def test_group_with_smaller_face_orbits_exits_2(tmp_path, capsys):
     assert "triangle orbit of size 4, below its smallest vertex orbit of size 6" in err
     assert "need a vertex on a minimal orbit" in err
     assert "group 'Th' of order 24, ell=6" in streams["Th"].out
+
+
+def test_disconnected_mesh_exits_2(tmp_path, capsys):
+    # two disjoint level-2 icospheres pass every per-edge and per-triangle
+    # check, and the second one's constant mode would read as lambda_1^G = 0
+    mesh, _ = geometry.build_sphere_mesh(2)
+    verts = np.vstack([mesh.vertices, mesh.vertices + [3.0, 0.0, 0.0]])
+    tris = np.vstack([mesh.triangles, mesh.triangles + mesh.n_vertices])
+    path = tmp_path / "two.off"
+    path.write_text(
+        f"OFF\n{len(verts)} {len(tris)} 0\n"
+        + "".join("%r %r %r\n" % tuple(v) for v in verts.tolist())
+        + "".join("3 %d %d %d\n" % tuple(t) for t in tris.tolist())
+    )
+    with pytest.raises(MeshError, match="mesh has 2 connected components"):
+        read_off(path)
+    capsys.readouterr()
+    for sub in ("spectrum", "green"):
+        assert cli.main([sub, "--mesh", str(path), "--out", str(tmp_path / f"{sub}.json")]) == 2
+        assert "2 connected components" in capsys.readouterr().err
 
 
 def test_non_isometric_group_exits_2(tmp_path):

@@ -13,6 +13,7 @@ from tmsurf.geometry import (
     UnsupportedOperation,
     build_flat_torus_mesh,
     build_sphere_mesh,
+    check_group_action,
     geodesic_distance,
     group_action,
     max_radius,
@@ -345,11 +346,12 @@ def test_off_rejects_edge_shared_four_times(tmp_path):
 
 def test_vertex_permutations_match_row_lookup():
     """The sorted-row search gives what a per-vertex dictionary lookup gives."""
-    mesh, action = build_sphere_mesh(2, "dihedral(4)")
-    mats = geometry._close_matrix_group(geometry._sphere_generators("dihedral", 4))
+    mesh, _ = build_sphere_mesh(2, "dihedral(4)")
+    mats = geometry._sphere_generators("dihedral", 4)
+    perms = geometry._vertex_permutations(mesh.vertices, mats, "dihedral(4)")
     table = {row.tobytes(): i for i, row in enumerate(mesh.vertices)}
-    assert len(mats) == action.order == 8
-    for perm, mat in zip(action.permutations, mats):
+    assert len(perms) == len(mats) == 2
+    for perm, mat in zip(perms, mats):
         image = mesh.vertices @ mat.T.astype(float) + 0.0
         assert perm.tolist() == [table[row.tobytes()] for row in image]
 
@@ -359,6 +361,83 @@ def test_vertex_permutations_reject_a_map_that_is_not_a_bijection():
     verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(GroupError, match="offending generator g:0: vertex map is not a bijection"):
         geometry._vertex_permutations(verts, [np.eye(3, dtype=np.int64)], "g")
+
+
+@pytest.mark.parametrize("kind, count", [("antipodal", 1), ("dihedral(4)", 2)])
+def test_sphere_kinds_match_only_their_generators(monkeypatch, kind, count):
+    matched = []
+    match = geometry._vertex_permutations
+
+    def counting(verts, mats, name):
+        matched.append(len(mats))
+        return match(verts, mats, name)
+
+    monkeypatch.setattr(geometry, "_vertex_permutations", counting)
+    build_sphere_mesh(2, kind)
+    assert matched == [count]
+
+
+def _matrix_closure(gens):
+    """Every product of the 3x3 integer matrices ``gens``, one per element."""
+    elems = {np.eye(3, dtype=np.int64).tobytes(): np.eye(3, dtype=np.int64)}
+    frontier = list(elems.values())
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                b = a @ g
+                if b.tobytes() not in elems:
+                    elems[b.tobytes()] = b
+                    fresh.append(b)
+        frontier = fresh
+    return list(elems.values())
+
+
+_CYCLE = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
+_SWAP_XY = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.int64)
+
+
+@pytest.mark.parametrize("level, base, gens, order", [
+    # O_h, the 48 signed permutation matrices, on the octahedral base
+    (3, "cyclic(4)", [_CYCLE, _SWAP_XY, np.diag([-1, 1, 1])], 48),
+    # T_h, order 24, on the icosphere
+    (2, "trivial", [_CYCLE, np.diag([-1, -1, 1]), -np.eye(3, dtype=np.int64)], 24),
+], ids=["Oh", "Th"])
+def test_generator_closure_matches_per_element_matching(tmp_path, level, base, gens, order):
+    mesh, _ = build_sphere_mesh(level, base)
+    closed = geometry._close(geometry._vertex_permutations(mesh.vertices, gens, "g"), 48)
+    reference = geometry._vertex_permutations(mesh.vertices, _matrix_closure(gens), "g")
+    assert len(closed) == len(reference) == order
+    assert closed.tolist() == sorted(reference.tolist())  # lexicographic, identity first
+    actions = []
+    for name, table in (("closed", closed), ("reference", reference)):
+        path = tmp_path / f"{name}.json"
+        write_group_json(geometry.GroupAction(name, table, *geometry._orbits_from_perms(table)), path)
+        actions.append(read_group_json(path, mesh.n_vertices))
+        check_group_action(mesh, actions[-1])
+    new, old = actions
+    np.testing.assert_array_equal(new.orbit_index, old.orbit_index)
+    np.testing.assert_array_equal(new.orbit_sizes, old.orbit_sizes)
+    assert new.min_orbit_size == old.min_orbit_size == 6
+
+
+def test_runaway_closure_stops_one_past_the_table(monkeypatch):
+    # a random permutation with the antipodal pair generates a huge group;
+    # the closure must give up once it holds more rows than the table has
+    mesh, action = build_sphere_mesh(2, "antipodal")
+    table = np.vstack([action.permutations, np.random.default_rng(5).permutation(mesh.n_vertices)])
+    held = []
+    find = geometry._find
+
+    def counting(rows, index, row):
+        held.append(len(rows))
+        return find(rows, index, row)
+
+    monkeypatch.setattr(geometry, "_find", counting)
+    imported = geometry.GroupAction("runaway", table, *geometry._orbits_from_perms(table))
+    with pytest.raises(GroupError, match="not closed under composition: .* more than 3 permutations"):
+        check_group_action(mesh, imported)
+    assert max(held) == len(table)  # so at most len(table) + 1 rows were ever built
 
 
 def test_nudged_vertex_breaks_point_group(tmp_path):

@@ -296,7 +296,7 @@ def test_state_matches_vertex_reference(request, setup, level):
     ref = _vertex_reference(state)
     for name in ("lambda_eps", "mu_eps", "value", "log_value"):
         assert getattr(state, name) == pytest.approx(ref[name], rel=1e-13), name
-    w = state.u[s.red.reps]
+    w = state.w
     assert norm_one_alpha(w, s.red, spec.norm_params) == pytest.approx(ref["norm"], rel=1e-13)
     assert state.gammas.shape == ref["gammas"].shape == (spec.orbit_basis.shape[1],)
     np.testing.assert_allclose(state.gammas, ref["gammas"], rtol=0, atol=1e-13)
@@ -324,7 +324,7 @@ def _bubble_state(s, c, lambda_eps=4.0, epsilon_sub=25.0):
     u = c + bubble(d / r_eps) / c
     value = float(np.sum(s.ops.lumped * np.exp(u)))
     return spec, MaximizerState(
-        u=u,
+        w=u[s.red.reps],
         lambda_eps=lambda_eps,
         mu_eps=0.1,
         gammas=np.array([]),
@@ -363,7 +363,7 @@ def test_blowup_orbit_energies_identical(sphere3):
 def test_blowup_threshold_guard(sphere3):
     _, state, _ = _bubble_state(sphere3, c=3.3)
     low = MaximizerState(
-        u=state.u, lambda_eps=state.lambda_eps, mu_eps=state.mu_eps, gammas=state.gammas,
+        w=state.w, lambda_eps=state.lambda_eps, mu_eps=state.mu_eps, gammas=state.gammas,
         c_eps=1.0, x_eps=state.x_eps, value=state.value, log_value=state.log_value,
         residual=0.0, iterations=1, converged=True, spec=state.spec,
     )
