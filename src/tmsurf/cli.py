@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,6 +74,13 @@ class StageError(RuntimeError):
 # canonical serialization
 
 
+def _finite(values: list) -> list:
+    """A float array's ``tolist()``, each non-finite entry replaced by None."""
+    if values and isinstance(values[0], list):
+        return [_finite(row) for row in values]
+    return [v if math.isfinite(v) else None for v in values]
+
+
 def _py(x):
     """JSON-safe deep copy: numpy scalars/arrays to builtins, non-finite to None."""
     if isinstance(x, dict):
@@ -80,6 +88,11 @@ def _py(x):
     if isinstance(x, (list, tuple)):
         return [_py(v) for v in x]
     if isinstance(x, np.ndarray):
+        # one tolist() pass per numeric array; it already yields builtins
+        if x.dtype.kind == "f":
+            return _finite(x.tolist())
+        if x.dtype.kind in "biu":
+            return x.tolist()
         return [_py(v) for v in x.tolist()]
     if isinstance(x, (np.integer, int)) and not isinstance(x, bool):
         return int(x)

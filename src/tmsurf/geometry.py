@@ -595,7 +595,9 @@ def _parse_torus_group(group_kind: str) -> list[tuple[int, int]]:
     return gens
 
 
-def _torus_action(mesh: SurfaceMesh, gens: list[tuple[int, int]], name: str) -> GroupAction:
+def _torus_action(
+    mesh: SurfaceMesh, gens: list[tuple[int, int]], name: str, check_simplices: bool = False
+) -> GroupAction:
     nx, ny = mesh.grid_shape
     for sx, sy in gens:
         bad_x = sx % nx != 0 and nx % (sx % nx) != 0
@@ -608,11 +610,14 @@ def _torus_action(mesh: SurfaceMesh, gens: list[tuple[int, int]], name: str) -> 
     steps = np.empty((len(gens), mesh.n_vertices), dtype=np.int64)
     for row, (sx, sy) in zip(steps, gens):
         row[:] = ((i + sx) % nx) * ny + (j + sy) % ny
-    # No simplex check: for nx, ny >= 3 a nontrivial grid translation fixes no
-    # vertex, edge or triangle, and it maps the grid triangulation onto itself.
     perms = _close(steps, nx * ny)
-    orbit_index, orbit_sizes = _orbits_from_perms(perms)
-    return GroupAction(name, perms, orbit_index, orbit_sizes)
+    action = GroupAction(name, perms, *_orbits_from_perms(perms))
+    # The builder's grid triangulation needs no check: for nx, ny >= 3 a
+    # nontrivial grid translation fixes no vertex, edge or triangle of it and
+    # maps it onto itself.  An imported torus may carry another triangulation.
+    if check_simplices:
+        _check_simplex_orbits(mesh.triangles, action, steps)
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +686,8 @@ def group_action(mesh: SurfaceMesh, group_kind: str = "trivial") -> GroupAction:
     """
     if mesh.surface_kind == "torus":
         name = group_kind.replace(" ", "")
-        return _torus_action(mesh, _parse_torus_group(name), name)
+        # only imported tori reach this: their triangles need not be the grid's
+        return _torus_action(mesh, _parse_torus_group(name), name, check_simplices=True)
     return _sphere_action(mesh, group_kind)
 
 
@@ -733,7 +739,56 @@ def mean_edge_length(mesh: SurfaceMesh) -> float:
 # interchange formats
 
 
+# Rows per block of OFF text: a block's byte table stays near 1 MB whatever
+# the mesh size.
+_OFF_BLOCK_ROWS = 1 << 14
+
+
+def _write_lines(fh, words: np.ndarray, index: np.ndarray, lead: bytes = b"") -> None:
+    """Write one line per row of ``index``: ``lead``, if any, then the bytes
+    words the row indexes, separated by spaces.
+
+    Each word is laid out as its NUL-padded bytes and a space; a block of
+    lines is a table of such words with the last space of each row turned
+    into a newline.  The text holds no NUL byte, so dropping every zero
+    leaves exactly the text, on whichever side a word's padding sits.
+    """
+    width = words.dtype.itemsize
+    padded = np.zeros((len(words), width + 1), dtype=np.uint8)
+    padded[:, :width] = words.view(np.uint8).reshape(len(words), width)
+    padded[:, width] = ord(" ")
+    spaced = padded.view(f"S{width + 1}").ravel()
+    cols = bool(lead) + index.shape[1]
+    table = np.zeros((min(_OFF_BLOCK_ROWS, len(index)), cols), dtype=spaced.dtype)
+    if lead:
+        table[:, 0] = lead + b" "
+    for lo in range(0, len(index), _OFF_BLOCK_ROWS):
+        block = index[lo : lo + _OFF_BLOCK_ROWS]
+        rows = table[: len(block)]
+        rows[:, bool(lead) :] = spaced[block]
+        text = rows.view(np.uint8).reshape(len(block), -1)
+        text[:, -1] = ord("\n")
+        fh.write(text[text != 0].tobytes())
+
+
+def _decimal_words(n: int) -> np.ndarray:
+    """The decimal text of 0..n-1 as bytes words, right-aligned behind NUL
+    padding, which _write_lines drops.  ``astype(np.bytes_)`` gives the same
+    text with trailing padding, but formats each number as a Python int and
+    takes several times as long."""
+    width = len(str(max(n - 1, 0)))
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    values = np.arange(n)[:, None]
+    digits = values // powers
+    digits %= 10
+    digits += ord("0")
+    digits[(values < powers) & (powers > 1)] = 0  # leading zeros
+    return digits.astype(np.uint8).view(f"S{width}").ravel()
+
+
 def write_off(mesh: SurfaceMesh, path) -> None:
+    """Write the mesh as OFF text: each coordinate as its shortest round-trip
+    repr, as %r prints it, and each face as '3 a b c'."""
     header = "OFF\n"
     if mesh.surface_kind == "torus":
         header += f"# torus periods {mesh.periods[0]!r} {mesh.periods[1]!r}\n"
@@ -741,11 +796,13 @@ def write_off(mesh: SurfaceMesh, path) -> None:
         header += "# sphere" + (f" level {mesh.level}" if mesh.level is not None else "") + "\n"
     header += f"{mesh.n_vertices} {mesh.n_triangles} 0\n"
     coords = mesh.vertices if mesh.vertices.shape[1] == 3 else np.c_[mesh.vertices, np.zeros(mesh.n_vertices)]
-    with open(path, "w") as fh:
-        fh.write(header)
-        # one %-format per block; %r of a float is its shortest round-trip repr
-        fh.write(("%r %r %r\n" * mesh.n_vertices) % tuple(coords.ravel().tolist()))
-        fh.write(("3 %d %d %d\n" * mesh.n_triangles) % tuple(mesh.triangles.ravel().tolist()))
+    # repr once per distinct 64-bit pattern, so -0.0 keeps its own text
+    bits, which = np.unique(np.ascontiguousarray(coords).view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=np.bytes_)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        _write_lines(fh, text, which.reshape(coords.shape))
+        _write_lines(fh, _decimal_words(mesh.n_vertices), mesh.triangles, lead=b"3")
 
 
 # a comment runs to the end of its line; \r ends it too, as universal newlines would

@@ -102,6 +102,28 @@ def alpha_failure_table(ops: FemOperators, eigvec: np.ndarray, alpha: float, t_g
     return rows
 
 
+def write_off_reference(mesh: SurfaceMesh, path) -> None:
+    """The OFF writer as one %-format per block: the bytes `write_off` must match."""
+    header = "OFF\n"
+    if mesh.surface_kind == "torus":
+        header += f"# torus periods {mesh.periods[0]!r} {mesh.periods[1]!r}\n"
+    elif mesh.surface_kind == "sphere":
+        header += "# sphere" + (f" level {mesh.level}" if mesh.level is not None else "") + "\n"
+    header += f"{mesh.n_vertices} {mesh.n_triangles} 0\n"
+    coords = mesh.vertices if mesh.vertices.shape[1] == 3 else np.c_[mesh.vertices, np.zeros(mesh.n_vertices)]
+    with open(path, "w") as fh:
+        fh.write(header)
+        # %r of a float is its shortest round-trip repr
+        fh.write(("%r %r %r\n" * mesh.n_vertices) % tuple(coords.ravel().tolist()))
+        fh.write(("3 %d %d %d\n" * mesh.n_triangles) % tuple(mesh.triangles.ravel().tolist()))
+
+
+@pytest.fixture(scope="session")
+def off_reference():
+    """The reference OFF writer that `write_off`'s bytes are checked against."""
+    return write_off_reference
+
+
 @pytest.fixture(scope="session")
 def rayleigh_quotient():
     """The Rayleigh quotient that eigenpairs and competitors are checked against."""

@@ -35,6 +35,27 @@ def _run_config(tmp_path, name="run.json", **overrides):
     return path
 
 
+def test_canonical_json_of_arrays():
+    # one tolist() pass per numeric array, with non-finite floats as null
+    payload = {
+        "u": np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 5e-324]),
+        "grid": np.array([[1.5, np.nan], [2.0, 3.0]]),
+        "ints": np.arange(3, dtype=np.int32),
+        "flags": np.array([True, False]),
+        "empty": np.zeros((0, 3)),
+        "f32": np.float32([0.25]),
+    }
+    assert json.loads(cli.canonical_json(payload)) == {
+        "u": [0.1, -0.0, None, None, None, 5e-324],
+        "grid": [[1.5, None], [2.0, 3.0]],
+        "ints": [0, 1, 2],
+        "flags": [True, False],
+        "empty": [],
+        "f32": [0.25],
+    }
+    assert '"u": [\n    0.1,\n    -0.0,\n    null,' in cli.canonical_json(payload)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
@@ -233,6 +254,22 @@ def test_bad_group_exits_2(tmp_path, capsys):
     assert cli.main(["mesh", "--mesh", str(torus), "--perms", str(perms),
                      "--out", str(tmp_path / "t2.off")]) == 2
     assert "group 'swap' does not preserve the triangle set" in capsys.readouterr().err
+
+
+def test_imported_torus_with_flipped_diagonal_exits_2(tmp_path, capsys):
+    # a built-in shift kind on an imported torus: the vertices form the grid,
+    # but cell (0,0) has its other diagonal, which shift(3,0) does not preserve
+    torus, flipped = tmp_path / "t6.off", tmp_path / "t6flip.off"
+    assert cli.main(["mesh", "--surface", "torus", "--nx", "6", "--ny", "6", "--out", str(torus)]) == 0
+    lines = torus.read_text().splitlines()
+    first, second = lines.index("3 0 6 7"), lines.index("3 0 7 1")
+    lines[first], lines[second] = "3 0 6 1", "3 6 7 1"
+    flipped.write_text("\n".join(lines) + "\n")
+    argv = ["spectrum", "--group", "shift(3,0)", "--count", "4"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--mesh", str(flipped), "--out", str(tmp_path / "flip.json")]) == 2
+    assert "group 'shift(3,0)' does not preserve the triangle set" in capsys.readouterr().err
+    assert cli.main(argv + ["--mesh", str(torus), "--out", str(tmp_path / "grid.json")]) == 0
 
 
 def test_group_with_smaller_face_orbits_exits_2(tmp_path, capsys):

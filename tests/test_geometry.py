@@ -237,6 +237,58 @@ def test_off_round_trip_torus(tmp_path):
     assert np.array_equal(action.permutations, act.permutations)
 
 
+def _assert_off_bytes_match(mesh, tmp_path, off_reference):
+    write_off(mesh, tmp_path / "new.off")
+    off_reference(mesh, tmp_path / "ref.off")
+    assert (tmp_path / "new.off").read_bytes() == (tmp_path / "ref.off").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["trivial", "antipodal", "cyclic(4)", "dihedral(4)"])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_write_off_bytes_sphere(tmp_path, off_reference, level, kind):
+    # levels 2 and 3 carry vertex indices across 9/10 and 99/100
+    _assert_off_bytes_match(build_sphere_mesh(level, kind)[0], tmp_path, off_reference)
+
+
+@pytest.mark.parametrize(
+    "shape, periods",
+    [((3, 3), (1.0, 1.0)), ((37, 38), (1.0, 1.0)), ((24, 24), (1.0, 2.5))],
+    ids=["3x3", "37x38", "24x24-periods"],
+)
+def test_write_off_bytes_torus(tmp_path, off_reference, shape, periods):
+    # the 37x38 grid also carries vertex indices across 999/1000
+    _assert_off_bytes_match(build_flat_torus_mesh(*shape, periods=periods)[0], tmp_path, off_reference)
+
+
+def test_write_off_bytes_repr_notation(tmp_path, off_reference):
+    # values around which repr switches between fixed and exponent notation,
+    # the smallest subnormal, and a negative zero that must keep its sign
+    path = tmp_path / "odd.off"
+    path.write_text(
+        "OFF\n4 4 0\n-0.0 5e-324 0.1\n1e16 0.0 1e-05\n0.0 1e16 1e15\n0.0001 -0.0 -1e16\n"
+        "3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
+    )
+    mesh = read_off(path)
+    assert np.signbit(mesh.vertices[0, 0]) and mesh.vertices[0, 1] == 5e-324
+    _assert_off_bytes_match(mesh, tmp_path, off_reference)
+    assert (tmp_path / "new.off").read_text().splitlines()[2:6] == [
+        "-0.0 5e-324 0.1", "1e+16 0.0 1e-05", "0.0 1e+16 1000000000000000.0", "0.0001 -0.0 -1e+16",
+    ]
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4])
+def test_write_off_bytes_block_edges(tmp_path, off_reference, monkeypatch, rows):
+    # row counts one below, at and one above the block size
+    monkeypatch.setattr(geometry, "_OFF_BLOCK_ROWS", 3)
+    mesh, _ = build_sphere_mesh(0, "trivial")
+    _assert_off_bytes_match(mesh, tmp_path, off_reference)
+    part = geometry.SurfaceMesh(
+        mesh.vertices[:rows], mesh.triangles[:rows] % rows, mesh.vertex_areas[:rows],
+        mesh.face_areas[:rows], mesh.total_area, "imported",
+    )
+    _assert_off_bytes_match(part, tmp_path, off_reference)
+
+
 def test_off_rejects_open_mesh(tmp_path):
     path = tmp_path / "open.off"
     path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n")
