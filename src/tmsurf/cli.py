@@ -393,22 +393,15 @@ def _stage_maximize(ctx: Context) -> None:
 
 def _stage_diagnostics(ctx: Context) -> None:
     dcfg = ctx.cfg.get("diagnostics", {})
-    diag = blowup_diagnostics(
-        ctx.state,
-        _numbers(dcfg.get("radii", (0.1, 0.2, 0.4)), "radii"),
-        c_threshold=_number(dcfg.get("c_threshold", 3.0), "c_threshold"),
-    )
+    diag = blowup_diagnostics(ctx.state, _numbers(dcfg.get("radii", (0.1, 0.2, 0.4)), "radii"))
     ctx.results["diagnostics"] = {
-        "r_eps": diag.r_eps,
         "c_eps": diag.c_eps,
         "orbit": diag.orbit,
+        "peak_share": diag.peak_share,
         "radii": diag.radii,
         "local_energies": diag.local_energies,
         "energy_budget": diag.energy_budget,
         "energy_fractions": diag.energy_fractions,
-        "profile_error": diag.profile_error,
-        "profile_points": diag.profile_points,
-        "resolution_warning": diag.resolution_warning,
     }
 
 

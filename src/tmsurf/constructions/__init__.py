@@ -1,13 +1,11 @@
 """Explicit analytic objects of the invariant exponential-inequality toolkit.
 
-Radial cap profiles, the planar bubble, invariant Green functions with their
-regular constants, and the glued near-extremal test family. Every singular
-construction has a semi-analytic radial evaluation path next to its
-mesh-sampled one.
+Radial cap profiles, invariant Green functions with their regular constants,
+and the glued near-extremal test family. Every singular construction has a
+semi-analytic radial evaluation path next to its mesh-sampled one.
 """
 
 from .radial import RadialModel, radial_model, radial_integral, log_integral_exp
-from .bubble import BubbleProfile, bubble_integral
 from .moser import (
     MoserSequence,
     MoserReport,
@@ -39,8 +37,6 @@ __all__ = [
     "radial_model",
     "radial_integral",
     "log_integral_exp",
-    "BubbleProfile",
-    "bubble_integral",
     "MoserSequence",
     "MoserReport",
     "min_orbit_separation",

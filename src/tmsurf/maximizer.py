@@ -1,4 +1,4 @@
-"""Subcritical maximizers of the exponential functional and their diagnostics.
+"""Subcritical maximizers of the exponential functional and their concentration.
 
 Maximizes int exp((4*pi*ell - eps) u^2) over invariant mean-zero u with
 |u|_(1,alpha) = 1 (intersected with the complement of the first j-1
@@ -17,6 +17,11 @@ invariance is exact by construction: ``_multipliers`` is the one evaluation
 of the load and the multipliers, shared by the ascent step, the polish, the
 returned state and ``multiplier_report``.  Vertex vectors appear only in a
 vertex seed's values and in the returned u.
+
+For alpha below the gap and beta <= 4*pi*ell the supremum is attained and
+maximizers stay bounded, so ``blowup_diagnostics`` reports only numbers that
+hold at any height c_eps: the peak orbit, its share of the lumped
+functional, and the orbit-ball Dirichlet energies against the energy budget.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._sums import sorted_sum
-from .constructions.bubble import BubbleProfile
 from .constructions.moser import (
     MoserSequence,
     cap_radius_limit,
@@ -44,7 +48,7 @@ from .discretization import (
     project_invariant_meanzero,
     remove_mass_mean,
 )
-from .geometry import GroupAction, SurfaceMesh, geodesic_distance, mean_edge_length
+from .geometry import GroupAction, SurfaceMesh, geodesic_distance
 from .spectrum import InvariantSpectrum
 
 __all__ = [
@@ -65,7 +69,6 @@ _STEP_MIN = 1e-12
 _POLISH_DAMPING = (1.0, 0.5, 0.25, 0.1)
 _POLISH_FACTOR = 1.0 - 1e-6  # any certified residual decrease is progress
 _DEFAULT_TOL = 1e-8
-_PROFILE_SPAN = 5.0  # radius, in blow-up coordinates, of the bubble comparison
 
 
 class MaximizerError(RuntimeError):
@@ -384,46 +387,28 @@ def triangle_dirichlet_energies(u: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
 
 @dataclass(eq=False)
 class BlowupDiagnostics:
-    r_eps: float
     c_eps: float
     orbit: np.ndarray  # orbit of the peak vertex
+    peak_share: float  # the peak orbit's term of the lumped sum J, over the sum
     radii: np.ndarray
     local_energies: np.ndarray  # (len(orbit), len(radii)) ball Dirichlet energies
     energy_budget: float  # u.K u = 1 + alpha u.M u
     energy_fractions: np.ndarray  # per radius: sum of orbit-ball energies / budget
-    profile_error: float  # sup distance of the rescaled peak to the bubble, nan if skipped
-    profile_points: int
-    resolution_warning: bool
 
 
-def blowup_diagnostics(
-    state: MaximizerState,
-    radii,
-    c_threshold: float = 3.0,
-) -> BlowupDiagnostics:
-    """Concentration-scale diagnostics of a converged maximizer.
+def blowup_diagnostics(state: MaximizerState, radii) -> BlowupDiagnostics:
+    """Concentration numbers of a maximizer that hold at any height c_eps.
 
-    The blow-up scale is r_eps = sqrt(lambda)/c * e^(-(2 pi ell - eps/2) c^2);
-    ball energies sum full triangles whose vertices all lie inside, in sorted
-    order, so orbit-image balls report bitwise-equal numbers.  The rescaled
-    profile c (u - c) on the disk of radius ``_PROFILE_SPAN`` in blow-up
-    coordinates is compared to the bubble ``BubbleProfile(ell)`` when the
-    scale is resolvable.
+    ``peak_share`` is the peak orbit's term of the lumped sum that
+    ``exp_functional`` takes, divided by that sum.  Ball energies sum full
+    triangles whose vertices all lie inside, in sorted order, so orbit-image
+    balls report bitwise-equal numbers.
     """
     spec = state.spec
-    mesh, action = spec.ops.mesh, spec.action
-    if state.c_eps < c_threshold:
-        raise MaximizerError(
-            f"c_eps = {state.c_eps:.4g} below the blow-up threshold {c_threshold}; "
-            "asymptotic diagnostics are not meaningful (pass c_threshold to override)"
-        )
-    ell = spec.ell
-    log_r = (
-        0.5 * np.log(state.lambda_eps)
-        - np.log(state.c_eps)
-        - (2.0 * np.pi * ell - 0.5 * spec.epsilon_sub) * state.c_eps**2
-    )
-    r_eps = float(np.exp(log_r))
+    red, mesh, action = spec.red, spec.ops.mesh, spec.action
+    t = spec.beta * state.w * state.w
+    terms = red.lumped * np.exp(t - t.max())
+    peak_share = float(terms[action.orbit_index[state.x_eps]] / sorted_sum(terms))
 
     orbit = action.orbit_of(state.x_eps)
     radii = np.asarray(radii, dtype=float)
@@ -437,39 +422,14 @@ def blowup_diagnostics(
         for j, r in enumerate(radii):
             local[i, j] = sorted_sum(e_tri[tri_dist <= r])
     budget = float(u @ (spec.ops.stiffness @ u))
-    fractions = local.sum(axis=0) / budget
-
-    h = mean_edge_length(mesh)
-    profile_error = float("nan")
-    n_pts = 0
-    resolution_warning = r_eps < h
-    if not resolution_warning:
-        dist = geodesic_distance(mesh, state.x_eps)
-        inside = dist <= _PROFILE_SPAN * r_eps
-        n_pts = int(np.count_nonzero(inside))
-        if n_pts < 8:
-            resolution_warning = True
-        else:
-            y = dist[inside] / r_eps
-            rescaled = state.c_eps * (u[inside] - state.c_eps)
-            profile_error = float(np.max(np.abs(rescaled - BubbleProfile(ell)(y))))
-    if resolution_warning:
-        warnings.warn(
-            f"blow-up scale r_eps = {r_eps:.3e} is at or below the mesh resolution "
-            f"(h = {h:.3e}); profile comparison skipped",
-            stacklevel=2,
-        )
     return BlowupDiagnostics(
-        r_eps=r_eps,
         c_eps=state.c_eps,
         orbit=orbit,
+        peak_share=peak_share,
         radii=radii,
         local_energies=local,
         energy_budget=budget,
-        energy_fractions=fractions,
-        profile_error=profile_error,
-        profile_points=n_pts,
-        resolution_warning=resolution_warning,
+        energy_fractions=local.sum(axis=0) / budget,
     )
 
 

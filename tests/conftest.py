@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tmsurf.constructions import BubbleProfile
 from tmsurf.discretization import (
     FemOperators,
     OrbitReduction,
@@ -44,6 +43,29 @@ def _setup(builder, *args, count=8, **kwargs) -> Setup:
     return Setup(mesh, action, red, invariant_spectrum(red, count=count))
 
 
+@dataclass(frozen=True)
+class BubbleProfile:
+    """The planar concentration profile phi(y) = -(1/4*pi*ell) * log(1 + pi*ell*|y|^2)."""
+
+    ell: int
+
+    def __post_init__(self):
+        if self.ell < 1:
+            raise ValueError(f"orbit constant must be a positive integer, got {self.ell}")
+
+    def __call__(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        return -np.log1p(np.pi * self.ell * rho * rho) / (4.0 * np.pi * self.ell)
+
+
+def bubble_integral_closed(ell: int, radius: float) -> float:
+    """Closed form (1/ell) * (1 - 1/(1 + pi*ell*R^2)) of the disk integral of exp(8*pi*ell*phi)."""
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    t = np.pi * ell * radius * radius
+    return float(t / (1.0 + t) / ell)
+
+
 def bubble_integral_quad(ell: int, radius: float) -> float:
     """Adaptive-quadrature value of the disk integral of exp(8*pi*ell*phi)."""
     if radius < 0:
@@ -61,6 +83,18 @@ def bubble_integral_quad(ell: int, radius: float) -> float:
         tail, terr = quad(integrand, split, radius, epsabs=1e-13, epsrel=1e-12, limit=200)
         total, err = total + tail, err + terr
     return float(total)
+
+
+@pytest.fixture(scope="session")
+def bubble_profile():
+    """The planar bubble, as a class of ``ell``."""
+    return BubbleProfile
+
+
+@pytest.fixture(scope="session")
+def bubble_integral():
+    """The closed-form bubble mass on a disk of radius R, approaching 1/ell."""
+    return bubble_integral_closed
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ import pytest
 from tmsurf import cli
 from tmsurf.constructions import (
     build_test_family,
-    bubble_integral,
     extract_A,
     green_l2_norm_sq,
     green_solve,
@@ -78,7 +77,7 @@ def test_criterion_02_torus_spectrum():
 # ---------------------------------------------------------------- 3-5: model constructions
 
 
-def test_criterion_03_bubble_integrals(bubble_quad):
+def test_criterion_03_bubble_integrals(bubble_integral, bubble_quad):
     worst, worst_tail = 0.0, 0.0
     for ell in (1, 2, 4):
         for radius in (1.0, 10.0, 1e3):
@@ -365,7 +364,7 @@ def test_criterion_11_orbit_equipartition():
         states.append(solve_subcritical(problem, seed="moser", tol=1e-8))
     assert all(st.converged for st in states)
     final = states[-1]
-    diag = blowup_diagnostics(final, radii=(0.1, 0.2, 0.4), c_threshold=0.5)
+    diag = blowup_diagnostics(final, radii=(0.1, 0.2, 0.4))
     equal = bool(np.all(diag.local_energies[0] == diag.local_energies[1]))
     frac = float(diag.energy_fractions[1])
     assert _line(
@@ -424,7 +423,7 @@ def test_criterion_13_reproducible_pipeline(tmp_path):
         "pipeline": ["mesh", "spectrum", "green", "bounds", "maximize", "diagnostics", "sharpness"],
         "bounds": {"epsilons": [1e-3, 1e-4]},
         "maximize": {"epsilon_sub": 2 * np.pi},
-        "diagnostics": {"c_threshold": 0.3, "radii": [0.4, 0.8]},
+        "diagnostics": {"radii": [0.4, 0.8]},
         "sharpness": {"beta_grid": [0.9 * 8 * np.pi, 1.1 * 8 * np.pi], "k_grid": [100, 1000]},
     }
     path = tmp_path / "run.json"

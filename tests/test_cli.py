@@ -564,7 +564,7 @@ def test_pipeline_loads_no_scipy_special_integrate_or_optimize(tmp_path):
         "pipeline": ["mesh", "spectrum", "green", "bounds", "maximize", "diagnostics", "sharpness"],
         "bounds": {"epsilons": [1e-3]},
         "maximize": {"epsilon_sub": 2 * np.pi},
-        "diagnostics": {"c_threshold": 0.3, "radii": [0.4, 0.8]},
+        "diagnostics": {"radii": [0.4, 0.8]},
         "sharpness": {"beta_grid": [0.9 * 8 * np.pi], "k_grid": [100, 1000]},
     }
     path = tmp_path / "run.json"

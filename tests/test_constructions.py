@@ -13,12 +13,10 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from tmsurf._sums import logsumexp
 from tmsurf.constructions import (
-    BubbleProfile,
     FamilyError,
     GreenError,
     MoserSequence,
     build_test_family,
-    bubble_integral,
     extract_A,
     green_l2_norm_sq,
     green_solve,
@@ -52,20 +50,20 @@ from tmsurf.maximizer import MaximizerError, ProblemSpec, normalized_competitor
 
 @pytest.mark.parametrize("ell", [1, 2, 4])
 @pytest.mark.parametrize("radius", [1.0, 10.0, 1e3])
-def test_bubble_closed_form_matches_quadrature(ell, radius, bubble_quad):
+def test_bubble_closed_form_matches_quadrature(ell, radius, bubble_integral, bubble_quad):
     closed = bubble_integral(ell, radius)
     adaptive = bubble_quad(ell, radius)
     assert abs(closed - adaptive) <= 1e-9
 
 
 @pytest.mark.parametrize("ell", [1, 2, 4])
-def test_bubble_mass_saturates(ell):
+def test_bubble_mass_saturates(ell, bubble_integral):
     assert abs(bubble_integral(ell, 1e3) - 1.0 / ell) < 1e-3
     assert bubble_integral(ell, 0.0) == 0.0
 
 
-def test_bubble_profile_shape():
-    phi = BubbleProfile(2)
+def test_bubble_profile_shape(bubble_profile):
+    phi = bubble_profile(2)
     assert phi(0.0) == 0.0
     rho = np.linspace(0.0, 5.0, 50)
     vals = phi(rho)
@@ -76,9 +74,9 @@ def test_bubble_profile_shape():
     )
 
 
-def test_bubble_validation(bubble_quad):
+def test_bubble_validation(bubble_profile, bubble_integral, bubble_quad):
     with pytest.raises(ValueError):
-        BubbleProfile(0)
+        bubble_profile(0)
     with pytest.raises(ValueError):
         bubble_integral(2, -1.0)
     with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ SPHERE = {
     "bounds": {"epsilons": [1e-3], "n_quad": 100},
     "maximize": {"level": 1, "alpha": 1.5, "epsilon_sub": 6.28, "seed": "moser",
                  "max_iters": 5, "tol": 1e-8},
-    "diagnostics": {"radii": [0.2], "c_threshold": 0.0},
+    "diagnostics": {"radii": [0.2]},
     "sharpness": {"ell": 2, "beta_grid": [22.6], "k_grid": [10, 100], "r": 0.05, "alpha": 0.0},
 }
 TORUS = {

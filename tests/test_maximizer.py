@@ -1,4 +1,4 @@
-"""Subcritical maximizer: fixed-point solver, multipliers, blow-up diagnostics.
+"""Subcritical maximizer: fixed-point solver, multipliers, concentration numbers.
 
 The quantitative oracle is the near-critical quadratic regime: for
 epsilon = 4*pi*ell - beta with small beta the maximum of the exponential
@@ -8,13 +8,12 @@ inside the first invariant eigencluster.
 
 import dataclasses
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
 from tmsurf import discretization
-from tmsurf.constructions import BubbleProfile, green_solve
+from tmsurf.constructions import green_solve
 from tmsurf.discretization import (
     NormParams,
     exp_functional,
@@ -202,11 +201,9 @@ def test_solver_layers_read_no_permutation_table(sphere3, zero_table, seed):
         alpha = 0.25 * spec.lambda_1
         states.append(solve_subcritical(ProblemSpec(red, spec, 1, alpha, 2 * np.pi), seed))
     _same_state(*states)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # resolution warnings of the coarse mesh
-        diags = [blowup_diagnostics(st, radii=(0.4, 0.8), c_threshold=0.0) for st in states]
+    diags = [blowup_diagnostics(st, radii=(0.4, 0.8)) for st in states]
     np.testing.assert_array_equal(diags[0].local_energies, diags[1].local_energies)
-    assert diags[0].r_eps == diags[1].r_eps
+    assert diags[0].peak_share == diags[1].peak_share
     params = NormParams(alpha=0.25 * spectrum.lambda_1, lambda_gap=spectrum.lambda_1)
     greens = [green_solve(red, 0, params) for red in (sphere3.red, zero_table)]
     np.testing.assert_array_equal(greens[0].values, greens[1].values)
@@ -304,26 +301,23 @@ def test_state_matches_vertex_reference(request, setup, level):
     assert report.mu_over_lambda == pytest.approx(ref["mu_eps"] / ref["lambda_eps"], rel=1e-13)
 
 
-# ---------------------------------------------------------------- blow-up diagnostics
+# ---------------------------------------------------------------- concentration diagnostics
 
 
-def _bubble_state(s, c, lambda_eps=4.0, epsilon_sub=25.0):
-    """Hand-built state whose peak is exactly the rescaled bubble."""
+def _bubble_state(s, profile, c, lambda_eps=4.0, epsilon_sub=25.0):
+    """Hand-built invariant state whose peak pair is a rescaled planar bubble."""
     spec = _spec(s, epsilon_sub=epsilon_sub)
     center = s.action.min_orbit_vertex
     partner = int(s.action.permutations[1][center])
-    bubble = BubbleProfile(2)
-    r_eps = np.exp(
-        0.5 * np.log(lambda_eps) - np.log(c) - (4 * np.pi - 0.5 * epsilon_sub) * c * c
-    )
+    r = np.exp(0.5 * np.log(lambda_eps) - np.log(c) - (4 * np.pi - 0.5 * epsilon_sub) * c * c)
     # min over the two mirrored fields stays bitwise invariant under the flip
     d = np.minimum(
         geodesic_distance(s.mesh, center),
         geodesic_distance(s.mesh, partner),
     )
-    u = c + bubble(d / r_eps) / c
+    u = c + profile(2)(d / r) / c
     value = float(np.sum(s.ops.lumped * np.exp(u)))
-    return spec, MaximizerState(
+    return MaximizerState(
         w=u[s.red.reps],
         lambda_eps=lambda_eps,
         mu_eps=0.1,
@@ -336,22 +330,13 @@ def _bubble_state(s, c, lambda_eps=4.0, epsilon_sub=25.0):
         iterations=1,
         converged=True,
         spec=spec,
-    ), r_eps
+    )
 
 
-def test_blowup_profile_recovery(sphere3):
-    spec, state, r_eps = _bubble_state(sphere3, c=3.3)
+def test_blowup_orbit_energies_identical(sphere3, bubble_profile):
+    state = _bubble_state(sphere3, bubble_profile, c=3.3)
     diag = blowup_diagnostics(state, radii=(0.4, 0.8))
-    assert diag.r_eps == pytest.approx(r_eps, rel=1e-12)
-    assert not diag.resolution_warning
-    assert diag.profile_points >= 8
-    assert diag.profile_error < 1e-12
     assert diag.orbit.size == 2
-
-
-def test_blowup_orbit_energies_identical(sphere3):
-    _, state, _ = _bubble_state(sphere3, c=3.3)
-    diag = blowup_diagnostics(state, radii=(0.4, 0.8))
     np.testing.assert_array_equal(diag.local_energies[0], diag.local_energies[1])
     assert np.all(diag.local_energies > 0)
     assert np.all(np.diff(diag.energy_fractions) > 0)
@@ -360,24 +345,21 @@ def test_blowup_orbit_energies_identical(sphere3):
     )
 
 
-def test_blowup_threshold_guard(sphere3):
-    _, state, _ = _bubble_state(sphere3, c=3.3)
-    low = MaximizerState(
-        w=state.w, lambda_eps=state.lambda_eps, mu_eps=state.mu_eps, gammas=state.gammas,
-        c_eps=1.0, x_eps=state.x_eps, value=state.value, log_value=state.log_value,
-        residual=0.0, iterations=1, converged=True, spec=state.spec,
-    )
-    with pytest.raises(MaximizerError, match="threshold"):
-        blowup_diagnostics(low, radii=(0.4,))
-
-
-def test_blowup_resolution_warning(sphere3):
-    # c = 8 drives r_eps far below the L3 edge length
-    _, state, _ = _bubble_state(sphere3, c=8.0)
-    with pytest.warns(UserWarning, match="resolution"):
-        diag = blowup_diagnostics(state, radii=(0.4,))
-    assert diag.resolution_warning
-    assert np.isnan(diag.profile_error)
+def test_peak_share_of_the_lumped_functional(sphere4):
+    # at 2pi the lumped J is spread over the sphere; at pi/2 most of it sits
+    # on the two vertices of the peak orbit
+    red = sphere4.red
+    shares = {}
+    for eps in (2 * np.pi, np.pi / 2):
+        state = solve_subcritical(_spec(sphere4, epsilon_sub=eps), seed="moser")
+        assert state.converged
+        diag = blowup_diagnostics(state, radii=(0.2,))
+        peak = sphere4.action.orbit_index[state.x_eps]
+        want = red.lumped[peak] * np.exp(state.spec.beta * state.c_eps**2)
+        assert diag.peak_share * state.value == pytest.approx(want, rel=1e-12)
+        shares[eps] = diag.peak_share
+    assert shares[2 * np.pi] < 0.05
+    assert shares[np.pi / 2] > 0.5
 
 
 # ---------------------------------------------------------------- scalar probes
