@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sorted_sum", "sorted_dot", "segment_sorted_sum", "logsumexp"]
+__all__ = ["sorted_sum", "sorted_dot", "ordered3", "sorted_sum3", "segment_sorted_sum", "logsumexp"]
 
 
 def sorted_sum(values):
@@ -32,6 +32,36 @@ def sorted_dot(a, b):
     return prod.sum(axis=-1)
 
 
+def ordered3(a, b, c):
+    """Elementwise lo <= mid <= hi of three float arrays, by a min/max network.
+
+    It takes six vectorized passes, where a sort along rows of three runs a
+    sort per row.  On a tie the network may return one input twice, which
+    changes no bit unless the tied values are zeros of opposite sign.
+    """
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    mid = np.minimum(hi, c)
+    np.maximum(mid, lo, out=mid)
+    np.minimum(lo, c, out=lo)
+    np.maximum(hi, c, out=hi)
+    return lo, mid, hi
+
+
+def sorted_sum3(a, b, c):
+    """(lo + mid) + hi elementwise: bitwise the sum of each sorted triple.
+
+    A sorted sum of zeros is -0 only when all three are -0, and no caller has
+    such a triple; the final + 0.0 turns the -0 that ``ordered3`` can make of
+    zeros of mixed sign back into the sorted sum's +0.
+    """
+    lo, mid, hi = ordered3(a, b, c)
+    lo += mid
+    lo += hi
+    lo += 0.0
+    return lo
+
+
 def segment_sorted_sum(index, values, size):
     """Sum ``values`` into ``size`` bins given by ``index``, value-sorted per bin.
 
@@ -45,8 +75,13 @@ def segment_sorted_sum(index, values, size):
     if values.size == 0:
         return out
     order = np.lexsort((values, index))
-    idx = index[order]
     val = values[order]
+    # gathered into ``order`` itself, one array of the input's size less at
+    # the peak.  numpy documents no aliasing of ``out`` with the indices; this
+    # relies on its take loop reading order[j] before writing slot j, which
+    # test_discretization's GOLDEN_OPERATORS hashes and
+    # test_mesh_bitwise::test_operators_share_one_canonical_pattern guard.
+    idx = np.take(index, order, out=order, mode="clip")
     starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
     out[idx[starts]] = np.add.reduceat(val, starts)
     return out

@@ -121,7 +121,7 @@ def build_test_family(
     vol = mesh.total_area
     R = -np.log(eps)
     r_eps = R * eps
-    sep = min_orbit_separation(mesh, dec.action, dec.source)
+    sep = min_orbit_separation(mesh, dec.action, dec.source, dec.dist_source)
     if 2.0 * r_eps >= 0.5 * sep or 2.0 * r_eps >= model.max_rho:
         raise FamilyError(
             f"eps={eps} too large: cutoff radius {2 * r_eps:.4g} reaches the "

@@ -54,19 +54,21 @@ class MoserReport:
     flat_energy: float  # 8*pi*ell*log k
 
 
-def min_orbit_separation(mesh: SurfaceMesh, action: GroupAction, center: int) -> float:
+def min_orbit_separation(mesh: SurfaceMesh, action: GroupAction, center: int,
+                         dist: np.ndarray | None = None) -> float:
     """Minimal pairwise geodesic distance within the center's orbit.
 
     A singleton orbit has no pair; it returns twice the largest usable radius
     so that the quarter-separation cap rule degrades to the geometric cap.
     The group's isometries give every orbit point the distances of the
     center (bitwise for signed-permutation groups, to round-off for an
-    imported group), so the center's row holds the minimum.
+    imported group), so the center's row holds the minimum.  A caller that
+    holds that row, ``geodesic_distance(mesh, center)``, passes it as ``dist``.
     """
     orbit = action.orbit_of(center)
     if len(orbit) == 1:
         return 2.0 * max_radius(mesh)
-    d = geodesic_distance(mesh, center)[orbit]
+    d = (geodesic_distance(mesh, center) if dist is None else dist)[orbit]
     return float(np.min(d[d > 0]))
 
 

@@ -47,7 +47,13 @@ class DiscretizationError(ValueError):
 
 @dataclass(eq=False)
 class FemOperators:
-    """Assembled operators; ``lumped`` holds the barycentric vertex areas."""
+    """Assembled operators; ``lumped`` holds the barycentric vertex areas.
+
+    ``stiffness`` and ``mass`` share their ``indices`` and ``indptr`` arrays
+    (one canonical CSR pattern).  Change neither structurally in place
+    (``eliminate_zeros``, ``prune``, ``resize``, ``sort_indices`` ...), since
+    that rewrites the other's pattern too; take ``.copy()`` first.
+    """
 
     mesh: SurfaceMesh
     stiffness: sp.csr_matrix
@@ -103,6 +109,8 @@ def assemble(mesh: SurfaceMesh) -> FemOperators:
     Every entry is a value-sorted sum over its triangles, so the order of the
     summands below does not matter; the transient arrays are filled in place
     and released before the next sort to keep the peak near the output size.
+    K and M are built on one shared CSR pattern: see ``FemOperators`` before
+    changing either structurally.
     """
     cot_w = cotangent_weights(mesh)
     area = mesh.face_areas
@@ -136,12 +144,29 @@ def assemble(mesh: SurfaceMesh) -> FemOperators:
     del cot_w
     mdiag = segment_sorted_sum(tri, np.repeat(area / 6.0, 3), n)
 
-    all_rows = np.concatenate([uk // n, np.arange(n)])
-    all_cols = np.concatenate([uk % n, np.arange(n)])
-    del uk
-    K = sp.csr_matrix((np.concatenate([ksums, kdiag]), (all_rows, all_cols)), shape=(n, n))
+    # One canonical CSR pattern serves both matrices: the diagonal keys
+    # v * (n + 1) merged into the sorted off-diagonal keys uk.
+    v = np.arange(n)
+    on_diag = np.zeros(len(uk) + n, dtype=bool)
+    on_diag[np.searchsorted(uk, v * (n + 1)) + v] = True
+    off_diag = ~on_diag
+    index = np.int32 if len(on_diag) <= np.iinfo(np.int32).max else np.int64  # as COO -> CSR picks
+    indices = np.empty(len(on_diag), dtype=index)
+    indices[on_diag] = v
+    indices[off_diag] = uk % n
+    rows = np.arange(n + 1)
+    indptr = (np.searchsorted(uk, rows * n) + rows).astype(index)
+    del uk, v, rows
+
+    def csr(off, diag):
+        data = np.empty(len(on_diag))
+        data[on_diag] = diag
+        data[off_diag] = off
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    K = csr(ksums, kdiag)
     del ksums, kdiag
-    M = sp.csr_matrix((np.concatenate([msums, mdiag]), (all_rows, all_cols)), shape=(n, n))
+    M = csr(msums, mdiag)
     return FemOperators(mesh=mesh, stiffness=K, mass=M, lumped=mesh.vertex_areas.copy())
 
 

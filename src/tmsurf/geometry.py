@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from ._sums import segment_sorted_sum, sorted_dot, sorted_sum
+from ._sums import ordered3, segment_sorted_sum, sorted_dot, sorted_sum, sorted_sum3
 
 __all__ = [
     "MeshError",
@@ -220,26 +220,35 @@ def _subdivide(verts: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndar
 def triangle_corners(mesh: SurfaceMesh) -> np.ndarray:
     """Per-triangle corner coordinates; wrap-corrected local frames on tori."""
     if mesh.surface_kind == "torus":
-        nx, ny = mesh.grid_shape
-        gi = mesh.grid_index[mesh.triangles]  # (m, 3, 2) integer corners
-        d = gi - gi[:, :1, :]
-        del gi
-        wrap = np.array([nx, ny])
-        d += wrap // 2  # in place: these integer arrays are as large as the mesh
-        d %= wrap
-        d -= wrap // 2
-        spacing = np.array([mesh.periods[0] / nx, mesh.periods[1] / ny])
-        return d * spacing
+        corners = np.empty((*mesh.triangles.shape, 2))
+        # one grid axis at a time, in int32: scalar operands keep the integer
+        # passes contiguous, and the transients a quarter of the output
+        for k, (n, period) in enumerate(zip(mesh.grid_shape, mesh.periods)):
+            d = mesh.grid_index[:, k].astype(np.int32)[mesh.triangles]
+            d -= d[:, :1].copy()
+            d += n // 2
+            d %= n
+            d -= n // 2
+            np.multiply(d, period / n, out=corners[..., k])
+        return corners
     return mesh.vertices[mesh.triangles]
 
 
 def triangle_edge_sq(corners: np.ndarray) -> np.ndarray:
-    """Squared edge lengths (opposite corner 0, 1, 2), order-independent sums."""
-    d = np.stack(
-        [corners[:, 2] - corners[:, 1], corners[:, 0] - corners[:, 2], corners[:, 1] - corners[:, 0]],
-        axis=1,
-    )
-    return np.sort(d * d, axis=-1).sum(axis=-1)
+    """Squared edge lengths (opposite corner 0, 1, 2), order-independent sums.
+
+    Two coordinate squares round the same in either order; three are summed
+    in sorted order by ``sorted_sum3``, one side at a time.
+    """
+    sq = np.empty(corners.shape[:2])
+    for i in range(3):
+        d = corners[:, (i + 2) % 3] - corners[:, (i + 1) % 3]
+        d *= d
+        if d.shape[1] == 2:
+            np.add(d[:, 0], d[:, 1], out=sq[:, i])
+        else:
+            sq[:, i] = sorted_sum3(d[:, 0], d[:, 1], d[:, 2])
+    return sq
 
 
 def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
@@ -248,8 +257,9 @@ def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
     Depending only on the multiset of edge lengths makes areas of group-image
     triangles bitwise equal no matter how their corners are stored.
     """
-    sq = np.sort(triangle_edge_sq(triangle_corners(mesh)), axis=1)
-    c, b, a = np.sqrt(sq[:, 0]), np.sqrt(sq[:, 1]), np.sqrt(sq[:, 2])
+    sq = triangle_edge_sq(triangle_corners(mesh))
+    c, b, a = (np.sqrt(x, out=x) for x in ordered3(sq[:, 0], sq[:, 1], sq[:, 2]))
+    del sq
     prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
     return 0.25 * np.sqrt(np.clip(prod, 0.0, None))
 
@@ -753,11 +763,7 @@ def _write_lines(fh, words: np.ndarray, index: np.ndarray, lead: bytes = b"") ->
     into a newline.  The text holds no NUL byte, so dropping every zero
     leaves exactly the text, on whichever side a word's padding sits.
     """
-    width = words.dtype.itemsize
-    padded = np.zeros((len(words), width + 1), dtype=np.uint8)
-    padded[:, :width] = words.view(np.uint8).reshape(len(words), width)
-    padded[:, width] = ord(" ")
-    spaced = padded.view(f"S{width + 1}").ravel()
+    spaced = _followed_by(words, b" ")
     cols = bool(lead) + index.shape[1]
     table = np.zeros((min(_OFF_BLOCK_ROWS, len(index)), cols), dtype=spaced.dtype)
     if lead:
@@ -769,6 +775,15 @@ def _write_lines(fh, words: np.ndarray, index: np.ndarray, lead: bytes = b"") ->
         text = rows.view(np.uint8).reshape(len(block), -1)
         text[:, -1] = ord("\n")
         fh.write(text[text != 0].tobytes())
+
+
+def _followed_by(words: np.ndarray, sep: bytes) -> np.ndarray:
+    """Each bytes word with ``sep`` after its NUL-padded bytes, as one word."""
+    width = words.dtype.itemsize
+    padded = np.zeros((len(words), width + len(sep)), dtype=np.uint8)
+    padded[:, :width] = words.view(np.uint8).reshape(len(words), width)
+    padded[:, width:] = np.frombuffer(sep, dtype=np.uint8)
+    return padded.view(f"S{width + len(sep)}").ravel()
 
 
 def _decimal_words(n: int) -> np.ndarray:
@@ -938,14 +953,24 @@ def _reimport_torus(verts: np.ndarray, tris: np.ndarray, periods) -> SurfaceMesh
 
 
 def write_group_json(action: GroupAction, path) -> None:
-    payload = {
-        "name": action.name,
-        "order": int(action.order),
-        "n_vertices": int(action.permutations.shape[1]),
-        "permutations": action.permutations.tolist(),
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload) + "\n")  # dumps runs the C encoder, dump does not
+    """Write the group as ``json.dumps`` of its payload and a newline.
+
+    The header comes from ``json.dumps``; each permutation row is its decimal
+    words gathered from one table, each followed by ', ', with the NUL
+    padding dropped and the last separator cut.
+    """
+    perms = action.permutations
+    n = perms.shape[1]
+    head = json.dumps({"name": action.name, "order": int(action.order), "n_vertices": n, "permutations": []})
+    words = _followed_by(_decimal_words(n), b", ")
+    with open(path, "wb") as fh:
+        fh.write(head[:-2].encode())  # up to the '[' that opens the rows
+        for i, row in enumerate(perms):
+            text = words[row].view(np.uint8)
+            fh.write(b"[" if i == 0 else b", [")
+            fh.write(text[text != 0][:-2].tobytes())
+            fh.write(b"]")
+        fh.write(b"]}\n")
 
 
 def read_group_json(path, n_vertices: int | None = None) -> GroupAction:

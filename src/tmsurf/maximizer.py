@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._sums import sorted_sum
+from ._sums import sorted_sum, sorted_sum3
 from .constructions.moser import (
     MoserSequence,
     cap_radius_limit,
@@ -375,14 +375,17 @@ def triangle_dirichlet_energies(u: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
     """Per-triangle Dirichlet energy, bitwise equal across group-image triangles.
 
     The three cotangent terms are summed in sorted order so the result depends
-    only on the multiset of (edge, value-difference) pairs.
+    only on the multiset of (edge, value-difference) pairs.  A term is -0
+    only where a negative cotangent meets two equal values, and at most one
+    cotangent of a triangle is negative, so no triple is all -0, as
+    ``sorted_sum3`` requires.
     """
     terms = cotangent_weights(mesh)
     tri = mesh.triangles
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         terms[:, i] *= (u[tri[:, j]] - u[tri[:, k]]) ** 2
-    return np.sort(terms, axis=1).sum(axis=1)
+    return sorted_sum3(terms[:, 0], terms[:, 1], terms[:, 2])
 
 
 @dataclass(eq=False)

@@ -7,12 +7,16 @@ fixture's orbit reduction is built once and passed to the solver layers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
+from tmsurf._sums import segment_sorted_sum
 from tmsurf.discretization import (
     FemOperators,
     OrbitReduction,
@@ -150,6 +154,105 @@ def write_off_reference(mesh: SurfaceMesh, path) -> None:
         # %r of a float is its shortest round-trip repr
         fh.write(("%r %r %r\n" * mesh.n_vertices) % tuple(coords.ravel().tolist()))
         fh.write(("3 %d %d %d\n" * mesh.n_triangles) % tuple(mesh.triangles.ravel().tolist()))
+
+
+def triangle_corners_reference(mesh: SurfaceMesh) -> np.ndarray:
+    """Corner coordinates with the torus wrap done on (m, 3, 2) int64 arrays."""
+    if mesh.surface_kind == "torus":
+        nx, ny = mesh.grid_shape
+        gi = mesh.grid_index[mesh.triangles]
+        wrap = np.array([nx, ny])
+        d = (gi - gi[:, :1, :] + wrap // 2) % wrap - wrap // 2
+        return d * np.array([mesh.periods[0] / nx, mesh.periods[1] / ny])
+    return mesh.vertices[mesh.triangles]
+
+
+def triangle_edge_sq_reference(corners: np.ndarray) -> np.ndarray:
+    """Squared edge lengths with the coordinate squares summed after a row sort."""
+    d = np.stack(
+        [corners[:, 2] - corners[:, 1], corners[:, 0] - corners[:, 2], corners[:, 1] - corners[:, 0]],
+        axis=1,
+    )
+    return np.sort(d * d, axis=-1).sum(axis=-1)
+
+
+def triangle_areas_reference(mesh: SurfaceMesh) -> np.ndarray:
+    """Heron's formula on row-sorted squared edge lengths."""
+    sq = np.sort(triangle_edge_sq_reference(triangle_corners_reference(mesh)), axis=1)
+    c, b, a = np.sqrt(sq[:, 0]), np.sqrt(sq[:, 1]), np.sqrt(sq[:, 2])
+    prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    return 0.25 * np.sqrt(np.clip(prod, 0.0, None))
+
+
+def _cotangent_weights_reference(mesh: SurfaceMesh) -> np.ndarray:
+    sq = triangle_edge_sq_reference(triangle_corners_reference(mesh))
+    cot_w = np.empty_like(sq)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        cot_w[:, i] = (sq[:, j] + sq[:, k] - sq[:, i]) / (8.0 * mesh.face_areas)
+    return cot_w
+
+
+def dirichlet_energies_reference(u: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
+    """Per-triangle Dirichlet energies with the three terms summed after a row sort."""
+    terms = _cotangent_weights_reference(mesh)
+    tri = mesh.triangles
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        terms[:, i] *= (u[tri[:, j]] - u[tri[:, k]]) ** 2
+    return np.sort(terms, axis=1).sum(axis=1)
+
+
+def operators_reference(mesh: SurfaceMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Stiffness and mass matrices built through COO -> CSR, each with its own pattern."""
+    cot_w = _cotangent_weights_reference(mesh)
+    area, tri = mesh.face_areas, mesh.triangles
+    n, m = mesh.n_vertices, len(tri)
+    keys, kvals = [], []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        for a, b in ((j, k), (k, j)):
+            keys.append(tri[:, a] * n + tri[:, b])
+            kvals.append(-cot_w[:, i])
+    keys, kvals = np.concatenate(keys), np.concatenate(kvals)
+    order = np.argsort(keys, kind="stable")
+    first, second = order[0::2], order[1::2]
+    uk = keys[first]
+    ksums = kvals[first] + kvals[second]
+    msums = (area / 12.0)[first % m] + (area / 12.0)[second % m]
+    kdiag = segment_sorted_sum(tri.T[[1, 2, 0, 2, 0, 1]], np.tile(cot_w.T, (2, 1)), n)
+    mdiag = segment_sorted_sum(tri, np.repeat(area / 6.0, 3), n)
+    rows = np.concatenate([uk // n, np.arange(n)])
+    cols = np.concatenate([uk % n, np.arange(n)])
+    return tuple(
+        sp.csr_matrix((np.concatenate(parts), (rows, cols)), shape=(n, n))
+        for parts in ((ksums, kdiag), (msums, mdiag))
+    )
+
+
+def write_group_json_reference(action: GroupAction, path) -> None:
+    """The group as ``json.dumps`` of its payload, every entry a Python int."""
+    payload = {
+        "name": action.name,
+        "order": int(action.order),
+        "n_vertices": int(action.permutations.shape[1]),
+        "permutations": action.permutations.tolist(),
+    }
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload) + "\n")
+
+
+@pytest.fixture(scope="session")
+def sorted_references():
+    """Row-sort and COO implementations whose bits the mesh layer must match."""
+    return SimpleNamespace(
+        corners=triangle_corners_reference,
+        edge_sq=triangle_edge_sq_reference,
+        areas=triangle_areas_reference,
+        energies=dirichlet_energies_reference,
+        operators=operators_reference,
+        group_json=write_group_json_reference,
+    )
 
 
 @pytest.fixture(scope="session")
