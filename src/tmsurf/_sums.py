@@ -13,23 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sorted_sum", "sorted_dot", "ordered3", "sorted_sum3", "segment_sorted_sum", "logsumexp"]
+__all__ = ["sorted_sum", "ordered3", "sorted_sum3", "segment_sorted_sum", "logsumexp"]
 
 
 def sorted_sum(values):
     """Sum of an array, invariant under any permutation of the input."""
     return float(np.sum(np.sort(np.asarray(values, dtype=float), axis=None, kind="stable")))
-
-
-def sorted_dot(a, b):
-    """Row-wise dot products summed in value order.
-
-    For signed-permutation images (rows of both factors permuted/flipped the
-    same way) the products form the same multiset, so the result is bitwise
-    identical.
-    """
-    prod = np.sort(np.asarray(a, dtype=float) * np.asarray(b, dtype=float), axis=-1)
-    return prod.sum(axis=-1)
 
 
 def ordered3(a, b, c):

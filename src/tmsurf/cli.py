@@ -346,6 +346,8 @@ def _stage_bounds(ctx: Context) -> None:
     bcfg = ctx.cfg.get("bounds", {})
     epsilons = _numbers(bcfg.get("epsilons", (1e-3, 1e-4, 1e-5)), "epsilons")
     n_quad = _number(bcfg.get("n_quad", 400), "n_quad", int)
+    if n_quad < 1:
+        raise ConfigError(f"config 'n_quad' must be at least 1, got {n_quad}")
     outside = [e for e in epsilons if not 0.0 < e < EPS_MAX]
     if outside:
         raise ConfigError(f"eps {outside} outside (0, {EPS_MAX})")
@@ -364,6 +366,12 @@ def _stage_maximize(ctx: Context) -> None:
         raise ConfigError(f"epsilon_sub={eps_sub} outside (0, 4*pi*ell={4 * np.pi * ell:.6g})")
     level = _cluster_level(mcfg.get("level", 1), ctx.spec)
     alpha = _resolve_alpha(mcfg.get("alpha", ctx.cfg.get("alpha", 0.0)), ctx.spec)
+    max_iters = _number(mcfg.get("max_iters", 400), "max_iters", int)
+    if max_iters < 1:
+        raise ConfigError(f"config 'max_iters' must be at least 1, got {max_iters}")
+    tol = _number(mcfg.get("tol", 1e-8), "tol")
+    if tol <= 0.0:
+        raise ConfigError(f"config 'tol' must be positive, got {tol}")
     problem = ProblemSpec(ctx.red, ctx.spec, level, alpha, eps_sub)
     seed = mcfg.get("seed", "moser")
     if isinstance(seed, list):
@@ -373,8 +381,8 @@ def _stage_maximize(ctx: Context) -> None:
     state = ctx.state = solve_subcritical(
         problem,
         seed,
-        max_iters=_number(mcfg.get("max_iters", 400), "max_iters", int),
-        tol=_number(mcfg.get("tol", 1e-8), "tol"),
+        max_iters=max_iters,
+        tol=tol,
         rng_seed=_number(ctx.cfg.get("rng_seed", 0), "rng_seed", int),
     )
     rep = multiplier_report(state)

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .._sums import sorted_sum
 from ..discretization import FemOperators, NormParams, OrbitReduction, remove_mass_mean
-from ..geometry import GroupAction, geodesic_distance, max_radius, mean_edge_length
+from ..geometry import GroupAction, axis_offset, geodesic_distance, mean_edge_length
 from .radial import RadialModel, radial_integral, radial_model
 
 __all__ = [
@@ -156,7 +156,7 @@ def extract_A(dec: GreenDecomposition, annulus: tuple[float, float] = (5.0, 20.0
     mesh = dec.ops.mesh
     h = mean_edge_length(mesh)
     lo, hi = annulus[0] * h, annulus[1] * h
-    if hi >= max_radius(mesh):
+    if hi >= radial_model(mesh).max_rho:
         raise GreenError(f"fit annulus outer radius {hi:.3g} reaches past the surface scale")
     others = dec.orbit[dec.orbit != dec.source]
     if others.size and float(np.min(dec.dist_source[others])) <= hi:
@@ -166,7 +166,7 @@ def extract_A(dec: GreenDecomposition, annulus: tuple[float, float] = (5.0, 20.0
     if sel.size < 12:
         raise GreenError(f"only {sel.size} vertices in the fit annulus; refine the mesh")
     y = dec.values[sel] + np.log(rho[sel]) / (2.0 * np.pi * dec.ell)
-    disp = _displacements(mesh, dec.source, sel)
+    disp = np.column_stack([axis_offset(mesh, dec.source, sel, k) for k in range(mesh.vertices.shape[1])])
     r2 = (rho[sel] / hi) ** 2  # normalized for conditioning
     log_r = np.log(rho[sel])
     basis = np.column_stack(
@@ -178,16 +178,6 @@ def extract_A(dec: GreenDecomposition, annulus: tuple[float, float] = (5.0, 20.0
     dec.a_fit_residual = float(np.sqrt(np.mean((y - fit) ** 2)))
     dec.a_annulus = (lo, hi)
     return dec.a_const
-
-
-def _displacements(mesh, source: int, sel: np.ndarray) -> np.ndarray:
-    if mesh.surface_kind == "torus":
-        nx, ny = mesh.grid_shape
-        spacing = np.array([mesh.periods[0] / nx, mesh.periods[1] / ny])
-        d = mesh.grid_index[sel] - mesh.grid_index[source]
-        d = (d + [nx // 2, ny // 2]) % [nx, ny] - [nx // 2, ny // 2]
-        return d * spacing
-    return mesh.vertices[sel] - mesh.vertices[source]
 
 
 def richardson_pair(a_coarse: float, a_fine: float) -> float:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import GroupAction, MeshError, SurfaceMesh, geodesic_distance, max_radius
-from .radial import RadialModel, log_integral_exp, radial_integral
+from ..geometry import GroupAction, MeshError, SurfaceMesh, geodesic_distance
+from .radial import RadialModel, log_integral_exp, radial_integral, radial_model
 
 __all__ = [
     "MoserSequence",
@@ -67,14 +67,14 @@ def min_orbit_separation(mesh: SurfaceMesh, action: GroupAction, center: int,
     """
     orbit = action.orbit_of(center)
     if len(orbit) == 1:
-        return 2.0 * max_radius(mesh)
+        return 2.0 * radial_model(mesh).max_rho
     d = (geodesic_distance(mesh, center) if dist is None else dist)[orbit]
     return float(np.min(d[d > 0]))
 
 
 def cap_radius_limit(mesh: SurfaceMesh, action: GroupAction, center: int) -> float:
     """r0: quarter of the minimal orbit separation, capped by the surface radius."""
-    return min(min_orbit_separation(mesh, action, center) / 4.0, max_radius(mesh) / 2.0)
+    return min(min_orbit_separation(mesh, action, center) / 4.0, radial_model(mesh).max_rho / 2.0)
 
 
 def _profile(rho: np.ndarray, r: float, k: int) -> np.ndarray:

@@ -142,7 +142,9 @@ def assemble(mesh: SurfaceMesh) -> FemOperators:
     # diagonals accumulated separately so each is a value-sorted multiset sum
     kdiag = segment_sorted_sum(tri.T[[1, 2, 0, 2, 0, 1]], np.tile(cot_w.T, (2, 1)), n)
     del cot_w
-    mdiag = segment_sorted_sum(tri, np.repeat(area / 6.0, 3), n)
+    # the value-sorted sum of area/6 over each vertex's triangles: halving is
+    # exact, so it commutes with the rounding and the order of vertex_areas
+    mdiag = mesh.vertex_areas * 0.5
 
     # One canonical CSR pattern serves both matrices: the diagonal keys
     # v * (n + 1) merged into the sorted off-diagonal keys uk.

@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from ._sums import ordered3, segment_sorted_sum, sorted_dot, sorted_sum, sorted_sum3
+from ._sums import ordered3, segment_sorted_sum, sorted_sum, sorted_sum3
 
 __all__ = [
     "MeshError",
@@ -31,9 +32,9 @@ __all__ = [
     "build_flat_torus_mesh",
     "group_action",
     "geodesic_distance",
+    "axis_offset",
     "triangle_corners",
     "triangle_areas",
-    "max_radius",
     "mean_edge_length",
     "write_off",
     "read_off",
@@ -64,8 +65,9 @@ class SurfaceMesh:
     """Closed triangle mesh of a model surface.
 
     vertices are embedded points for spheres and imported meshes, and
-    fundamental-domain coordinates for flat tori (where ``grid_index`` and
-    ``periods`` carry the periodic structure).
+    fundamental-domain coordinates for flat tori, where ``grid_shape`` and
+    ``periods`` carry the periodic structure: torus vertices are numbered
+    row-major, vertex v at grid cell ``divmod(v, ny)``.
     """
 
     vertices: np.ndarray
@@ -77,7 +79,6 @@ class SurfaceMesh:
     level: int | None = None
     grid_shape: tuple[int, int] | None = None
     periods: tuple[float, float] | None = None
-    grid_index: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -129,9 +130,7 @@ def _canonical_normalize(points: np.ndarray) -> np.ndarray:
     # Sum of squares taken in sorted order: signed coordinate permutations of
     # a point then produce bitwise the same norm, hence bitwise-symmetric
     # projected vertices.
-    sq = np.sort(points * points, axis=-1)
-    norm = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
-    out = points / norm[..., None]
+    out = points / np.sqrt(sorted_sum3(*(points * points).T))[:, None]
     return out + 0.0  # clear negative zeros so bitwise matching is stable
 
 
@@ -221,10 +220,11 @@ def triangle_corners(mesh: SurfaceMesh) -> np.ndarray:
     """Per-triangle corner coordinates; wrap-corrected local frames on tori."""
     if mesh.surface_kind == "torus":
         corners = np.empty((*mesh.triangles.shape, 2))
+        index = np.arange(mesh.n_vertices, dtype=np.int32)
         # one grid axis at a time, in int32: scalar operands keep the integer
         # passes contiguous, and the transients a quarter of the output
         for k, (n, period) in enumerate(zip(mesh.grid_shape, mesh.periods)):
-            d = mesh.grid_index[:, k].astype(np.int32)[mesh.triangles]
+            d = _grid_cells(index, mesh.grid_shape[1], k)[mesh.triangles]
             d -= d[:, :1].copy()
             d += n // 2
             d %= n
@@ -346,6 +346,12 @@ def _row_bytes(points: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
+def _is_permutation(row: np.ndarray) -> bool:
+    """Whether the int64 ``row`` holds each of 0..len(row)-1 exactly once."""
+    n = len(row)
+    return n == 0 or bool(row.min() >= 0 and row.max() < n and np.bincount(row, minlength=n).max() == 1)
+
+
 def _vertex_permutations(verts: np.ndarray, mats: list[np.ndarray], name: str) -> np.ndarray:
     """Index permutation of each matrix, matching image rows to vertices bitwise."""
     keys = _row_bytes(verts)
@@ -363,7 +369,7 @@ def _vertex_permutations(verts: np.ndarray, mats: list[np.ndarray], name: str) -
                 f"offending generator {label}: image of vertex {int(missing[0])} is not a mesh vertex"
             )
         perms[idx] = order[pos]
-        if np.bincount(perms[idx], minlength=n).max() != 1:
+        if not _is_permutation(perms[idx]):
             raise GroupError(f"offending generator {label}: vertex map is not a bijection")
     return perms
 
@@ -519,16 +525,11 @@ _ISOMETRY_RTOL = 1e-9
 
 
 def _edge_sq(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Squared lengths of the edges (u[i], v[i]), across the seam on tori."""
-    sq = np.zeros(len(u))
-    if mesh.surface_kind == "torus":
-        for k, n in enumerate(mesh.grid_shape):
-            col = mesh.grid_index[:, k]
-            d = np.abs(col[v] - col[u])
-            sq += (np.minimum(d, n - d) * (mesh.periods[k] / n)) ** 2
-    else:
-        for col in mesh.vertices.T:
-            sq += (col[v] - col[u]) ** 2
+    """Squared lengths of the segments (u[i], v[i]) (or (u, v[i])), across the seam on tori."""
+    sq = np.zeros(len(v))
+    for k in range(mesh.vertices.shape[1]):
+        d = axis_offset(mesh, u, v, k)
+        sq += d * d
     return sq
 
 
@@ -616,7 +617,7 @@ def _torus_action(
             raise GroupError(
                 f"offending generator: shift({sx},{sy}) does not divide the {nx}x{ny} grid evenly"
             )
-    i, j = mesh.grid_index[:, 0], mesh.grid_index[:, 1]
+    i, j = np.divmod(np.arange(mesh.n_vertices), ny)
     steps = np.empty((len(gens), mesh.n_vertices), dtype=np.int64)
     for row, (sx, sy) in zip(steps, gens):
         row[:] = ((i + sx) % nx) * ny + (j + sy) % ny
@@ -673,17 +674,13 @@ def build_flat_torus_mesh(
     a, b = float(periods[0]), float(periods[1])
     if not (a > 0 and b > 0):
         raise MeshError(f"invalid periods {periods}")
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    gi = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(np.int64)
-    verts = gi * np.array([a / nx, b / ny])
+    i, j = np.divmod(np.arange(nx * ny), ny)  # row-major: vertex v at cell divmod(v, ny)
+    verts = np.stack([i * (a / nx), j * (b / ny)], axis=1)
     idx = lambda i, j: (i % nx) * ny + (j % ny)  # noqa: E731
-    i, j = gi[:, 0], gi[:, 1]
     t1 = np.stack([idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)], axis=1)
     t2 = np.stack([idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)], axis=1)
     tris = np.vstack([t1, t2]).astype(np.int64)
-    mesh = _finish_mesh(
-        verts, tris, "torus", grid_shape=(nx, ny), periods=(a, b), grid_index=gi
-    )
+    mesh = _finish_mesh(verts, tris, "torus", grid_shape=(nx, ny), periods=(a, b))
     return mesh, _torus_action(mesh, _parse_torus_group(group_kind), group_kind)
 
 
@@ -705,35 +702,36 @@ def group_action(mesh: SurfaceMesh, group_kind: str = "trivial") -> GroupAction:
 # orbits and geodesics
 
 
+def _grid_cells(index, ny: int, axis: int):
+    """Cell along ``axis`` of torus vertices, numbered row-major: v = i * ny + j."""
+    return index // ny if axis == 0 else index % ny
+
+
+def axis_offset(mesh: SurfaceMesh, u, v, axis: int) -> np.ndarray:
+    """Coordinate ``axis`` of the displacements from vertices u to vertices v;
+    on tori the grid offset wrapped into [-n/2, n/2) cells, times period/n
+    (one axis at a time keeps the transients the size of the output)."""
+    if mesh.surface_kind != "torus":
+        col = mesh.vertices[:, axis]
+        return col[v] - col[u]
+    n, ny = mesh.grid_shape[axis], mesh.grid_shape[1]
+    d = _grid_cells(v, ny, axis) - _grid_cells(u, ny, axis)
+    d += n // 2
+    d %= n
+    d -= n // 2
+    return d * (mesh.periods[axis] / n)
+
+
 def geodesic_distance(mesh: SurfaceMesh, source: int) -> np.ndarray:
     """Closed-form geodesic distances from a source vertex to all vertices."""
     if not 0 <= source < mesh.n_vertices:
         raise MeshError(f"source vertex {source} out of range")
     if mesh.surface_kind == "sphere":
-        cosang = np.clip(sorted_dot(mesh.vertices, mesh.vertices[source]), -1.0, 1.0)
-        return np.arccos(cosang)
+        x, y, z = mesh.vertices.T * mesh.vertices[source][:, None]
+        return np.arccos(np.clip(sorted_sum3(x, y, z), -1.0, 1.0))
     if mesh.surface_kind == "torus":
-        nx, ny = mesh.grid_shape
-        a, b = mesh.periods
-        di = (mesh.grid_index[:, 0] - mesh.grid_index[source, 0]) % nx
-        dj = (mesh.grid_index[:, 1] - mesh.grid_index[source, 1]) % ny
-        # wrapped representative in (-n/2, n/2]; ties resolved to +
-        di = np.where(di > nx - di, di - nx, di)
-        dj = np.where(dj > ny - dj, dj - ny, dj)
-        dx = di * (a / nx)
-        dy = dj * (b / ny)
-        sq = np.sort(np.stack([dx * dx, dy * dy], axis=1), axis=1)
-        return np.sqrt(sq[:, 0] + sq[:, 1])
+        return np.sqrt(_edge_sq(mesh, source, np.arange(mesh.n_vertices)))
     raise UnsupportedOperation(f"geodesic distances undefined for surface kind {mesh.surface_kind!r}")
-
-
-def max_radius(mesh: SurfaceMesh) -> float:
-    """Largest radius for which radial constructions stay injective."""
-    if mesh.surface_kind == "sphere":
-        return float(np.pi)
-    if mesh.surface_kind == "torus":
-        return 0.5 * min(mesh.periods)
-    raise UnsupportedOperation("no radial normal coordinates for imported meshes")
 
 
 def mean_edge_length(mesh: SurfaceMesh) -> float:
@@ -786,11 +784,13 @@ def _followed_by(words: np.ndarray, sep: bytes) -> np.ndarray:
     return padded.view(f"S{width + len(sep)}").ravel()
 
 
+@lru_cache(maxsize=1)
 def _decimal_words(n: int) -> np.ndarray:
     """The decimal text of 0..n-1 as bytes words, right-aligned behind NUL
     padding, which _write_lines drops.  ``astype(np.bytes_)`` gives the same
     text with trailing padding, but formats each number as a Python int and
-    takes several times as long."""
+    takes several times as long.  One read-only table serves the OFF faces
+    and the group rows of an export."""
     width = len(str(max(n - 1, 0)))
     powers = 10 ** np.arange(width - 1, -1, -1)
     values = np.arange(n)[:, None]
@@ -798,7 +798,9 @@ def _decimal_words(n: int) -> np.ndarray:
     digits %= 10
     digits += ord("0")
     digits[(values < powers) & (powers > 1)] = 0  # leading zeros
-    return digits.astype(np.uint8).view(f"S{width}").ravel()
+    words = digits.astype(np.uint8).view(f"S{width}").ravel()
+    words.flags.writeable = False
+    return words
 
 
 def write_off(mesh: SurfaceMesh, path) -> None:
@@ -942,14 +944,9 @@ def _reimport_torus(verts: np.ndarray, tris: np.ndarray, periods) -> SurfaceMesh
     ux, ix = np.unique(verts[:, 0], return_inverse=True)
     uy, iy = np.unique(verts[:, 1], return_inverse=True)
     nx, ny = len(ux), len(uy)
-    gi = np.stack([ix, iy], axis=1).astype(np.int64)
-    if nx * ny != len(verts) or not np.array_equal(
-        gi[:, 0] * ny + gi[:, 1], np.arange(len(verts))
-    ):
+    if nx * ny != len(verts) or not np.array_equal(ix * ny + iy, np.arange(len(verts))):
         raise MeshError("torus OFF vertices do not form a row-major grid")
-    return _finish_mesh(
-        verts[:, :2], tris, "torus", grid_shape=(nx, ny), periods=periods, grid_index=gi
-    )
+    return _finish_mesh(verts[:, :2], tris, "torus", grid_shape=(nx, ny), periods=periods)
 
 
 def write_group_json(action: GroupAction, path) -> None:
@@ -980,17 +977,21 @@ def read_group_json(path, n_vertices: int | None = None) -> GroupAction:
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise GroupError(f"permutation file is not valid JSON: {exc}") from None
     try:
-        perms = np.asarray(payload["permutations"], dtype=np.int64)
+        rows = payload["permutations"]
+        # JSON integers only: numpy would truncate 1.5, and read true and "1" as 1
+        if not all(set(map(type, row)) <= {int} for row in rows):
+            raise ValueError(rows)
+        perms = np.asarray(rows, dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError):
-        raise GroupError("permutation payload must be a list of index arrays") from None
+        raise GroupError("permutation payload must be a list of lists of JSON integers") from None
     if perms.ndim != 2:
-        raise GroupError("permutation payload must be a list of index arrays")
+        raise GroupError("permutation payload must be a list of lists of JSON integers")
     if n_vertices is not None and perms.shape[1] != n_vertices:
         raise GroupError(
             f"permutations act on {perms.shape[1]} vertices, mesh has {n_vertices}"
         )
     for i, p in enumerate(perms):
-        if not np.array_equal(np.sort(p), np.arange(perms.shape[1])):
+        if not _is_permutation(p):
             raise GroupError(f"entry {i} is not a permutation of 0..{perms.shape[1] - 1}")
     orbit_index, orbit_sizes = _orbits_from_perms(perms)
     return GroupAction(

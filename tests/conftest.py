@@ -160,7 +160,7 @@ def triangle_corners_reference(mesh: SurfaceMesh) -> np.ndarray:
     """Corner coordinates with the torus wrap done on (m, 3, 2) int64 arrays."""
     if mesh.surface_kind == "torus":
         nx, ny = mesh.grid_shape
-        gi = mesh.grid_index[mesh.triangles]
+        gi = np.stack(np.divmod(mesh.triangles, ny), axis=-1)  # row-major vertex numbering
         wrap = np.array([nx, ny])
         d = (gi - gi[:, :1, :] + wrap // 2) % wrap - wrap // 2
         return d * np.array([mesh.periods[0] / nx, mesh.periods[1] / ny])
@@ -221,13 +221,76 @@ def operators_reference(mesh: SurfaceMesh) -> tuple[sp.csr_matrix, sp.csr_matrix
     ksums = kvals[first] + kvals[second]
     msums = (area / 12.0)[first % m] + (area / 12.0)[second % m]
     kdiag = segment_sorted_sum(tri.T[[1, 2, 0, 2, 0, 1]], np.tile(cot_w.T, (2, 1)), n)
-    mdiag = segment_sorted_sum(tri, np.repeat(area / 6.0, 3), n)
+    mdiag = mass_diagonal_reference(mesh)
     rows = np.concatenate([uk // n, np.arange(n)])
     cols = np.concatenate([uk % n, np.arange(n)])
     return tuple(
         sp.csr_matrix((np.concatenate(parts), (rows, cols)), shape=(n, n))
         for parts in ((ksums, kdiag), (msums, mdiag))
     )
+
+
+def _grid_index(mesh: SurfaceMesh) -> np.ndarray:
+    """(n, 2) grid cells of the torus vertices, as the builders once stored them."""
+    return np.stack(np.divmod(np.arange(mesh.n_vertices), mesh.grid_shape[1]), axis=1)
+
+
+def canonical_normalize_reference(points: np.ndarray) -> np.ndarray:
+    """Points scaled to unit norm, their three squares summed after a row sort."""
+    sq = np.sort(points * points, axis=-1)
+    return points / np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None] + 0.0
+
+
+def geodesic_reference(mesh: SurfaceMesh, source: int) -> np.ndarray:
+    """Sphere: row-sorted dot products; torus: stored grid cells, ties wrapped to +."""
+    if mesh.surface_kind == "sphere":
+        dots = np.sort(mesh.vertices * mesh.vertices[source], axis=-1).sum(axis=-1)
+        return np.arccos(np.clip(dots, -1.0, 1.0))
+    gi = _grid_index(mesh)
+    nx, ny = mesh.grid_shape
+    a, b = mesh.periods
+    di = (gi[:, 0] - gi[source, 0]) % nx
+    dj = (gi[:, 1] - gi[source, 1]) % ny
+    di = np.where(di > nx - di, di - nx, di)
+    dj = np.where(dj > ny - dj, dj - ny, dj)
+    dx, dy = di * (a / nx), dj * (b / ny)
+    sq = np.sort(np.stack([dx * dx, dy * dy], axis=1), axis=1)
+    return np.sqrt(sq[:, 0] + sq[:, 1])
+
+
+def edge_sq_reference(mesh: SurfaceMesh, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Squared lengths of the edges (u[i], v[i]); tori fold |d| to min(|d|, n - |d|)."""
+    sq = np.zeros(len(u))
+    if mesh.surface_kind == "torus":
+        gi = _grid_index(mesh)
+        for k, n in enumerate(mesh.grid_shape):
+            d = np.abs(gi[v, k] - gi[u, k])
+            sq += (np.minimum(d, n - d) * (mesh.periods[k] / n)) ** 2
+    else:
+        for col in mesh.vertices.T:
+            sq += (col[v] - col[u]) ** 2
+    return sq
+
+
+def displacements_reference(mesh: SurfaceMesh, source: int, sel: np.ndarray) -> np.ndarray:
+    """Vertices ``sel`` minus ``source``, wrapped on both grid axes at once on tori."""
+    if mesh.surface_kind == "torus":
+        nx, ny = mesh.grid_shape
+        gi = _grid_index(mesh)
+        d = gi[sel] - gi[source]
+        d = (d + [nx // 2, ny // 2]) % [nx, ny] - [nx // 2, ny // 2]
+        return d * np.array([mesh.periods[0] / nx, mesh.periods[1] / ny])
+    return mesh.vertices[sel] - mesh.vertices[source]
+
+
+def mass_diagonal_reference(mesh: SurfaceMesh) -> np.ndarray:
+    """Value-sorted sum of area/6 over the triangles at each vertex."""
+    return segment_sorted_sum(mesh.triangles, np.repeat(mesh.face_areas / 6.0, 3), mesh.n_vertices)
+
+
+def is_permutation_reference(row: np.ndarray) -> bool:
+    """Whether the sorted row is 0..len(row)-1."""
+    return bool(np.array_equal(np.sort(row), np.arange(len(row))))
 
 
 def write_group_json_reference(action: GroupAction, path) -> None:
@@ -244,7 +307,7 @@ def write_group_json_reference(action: GroupAction, path) -> None:
 
 @pytest.fixture(scope="session")
 def sorted_references():
-    """Row-sort and COO implementations whose bits the mesh layer must match."""
+    """Row-sort, grid-index and COO implementations whose bits the mesh layer must match."""
     return SimpleNamespace(
         corners=triangle_corners_reference,
         edge_sq=triangle_edge_sq_reference,
@@ -252,6 +315,12 @@ def sorted_references():
         energies=dirichlet_energies_reference,
         operators=operators_reference,
         group_json=write_group_json_reference,
+        normalize=canonical_normalize_reference,
+        geodesic=geodesic_reference,
+        vertex_edge_sq=edge_sq_reference,
+        displacements=displacements_reference,
+        mass_diagonal=mass_diagonal_reference,
+        is_permutation=is_permutation_reference,
     )
 
 

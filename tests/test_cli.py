@@ -223,6 +223,40 @@ def test_config_errors_exit_2(tmp_path):
 _TETRAHEDRON = "OFF\n4 4 0\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["maximize", "--max-iters", "0"], "max_iters"),
+        (["maximize", "--tol", "-1"], "tol"),
+        (["bounds", "--n-quad", "0"], "n_quad"),
+    ],
+    ids=["max-iters", "tol", "n-quad"],
+)
+def test_solver_setting_out_of_range_exits_2(tmp_path, capsys, argv, key):
+    command, *flags = argv
+    extra = ["--alpha", "1.5", "--eps", str(2 * np.pi)] if command == "maximize" else []
+    level = "--surface-level" if command == "maximize" else "--level"
+    capsys.readouterr()
+    assert cli.main([command, level, "3", "--group", "antipodal", *extra, *flags,
+                     "--out", str(tmp_path / "x.json")]) == 2
+    assert f"config '{key}'" in capsys.readouterr().err
+
+
+def test_group_json_with_non_integer_entries_exits_2(tmp_path, capsys):
+    # the reflection swapping vertices 0 and 1 is a symmetry of the tetrahedron
+    tet, perms = tmp_path / "tet.off", tmp_path / "perms.json"
+    tet.write_text(_TETRAHEDRON)
+    argv = ["spectrum", "--mesh", str(tet), "--perms", str(perms), "--count", "1",
+            "--out", str(tmp_path / "s.json")]
+    perms.write_text('{"permutations": [[0, 1, 2, 3], [1, 0, 2, 3]]}')
+    assert cli.main(argv) == 0
+    for row in ("[1, 0, 2.0, 3]", "[true, false, 2, 3]", '["1", "0", "2", "3"]'):
+        perms.write_text('{"permutations": [[0, 1, 2, 3], ' + row + "]}")
+        capsys.readouterr()
+        assert cli.main(argv) == 2, row
+        assert "JSON integers" in capsys.readouterr().err
+
+
 def test_bad_group_exits_2(tmp_path, capsys):
     argv = ["mesh", "--surface", "sphere", "--level", "2", "--group", "cyclic(5)",
             "--out", str(tmp_path / "m.off")]

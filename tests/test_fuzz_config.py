@@ -6,8 +6,9 @@ string or null.  `tm run` must exit 0 (the stage that reads the key did not
 run) or 2 (input error, no `results.json`); exit 1 would be a traceback and
 exit 3 a stage failure blamed on the numerics.  A numeric key of the sphere
 config set to NaN or +-Infinity, which `json` reads as floats, must exit 2:
-that config runs every stage.  Examples are derandomized, so every run checks
-the same configs.
+that config runs every stage, and so must a solver setting outside its range
+(a finite list of cases).  Examples are derandomized, so every run checks the
+same configs.
 """
 
 import contextlib
@@ -77,6 +78,11 @@ NUMERIC_KEYS = [
     and (path[-1] in LISTS or isinstance(functools.reduce(dict.get, path, SPHERE), (int, float)))
 ]
 NUMERIC_CASES = [(path, [bad] if path[-1] in LISTS else bad) for path in NUMERIC_KEYS for bad in NON_FINITE]
+OUT_OF_RANGE = [
+    (("maximize", "max_iters"), 0), (("maximize", "max_iters"), -3),
+    (("maximize", "tol"), 0.0), (("maximize", "tol"), -1), (("maximize", "tol"), -1e-12),
+    (("bounds", "n_quad"), 0), (("bounds", "n_quad"), -1),
+]
 
 
 @pytest.fixture(scope="module")
@@ -141,4 +147,12 @@ def test_non_finite_number_exits_2(off_dir, case):
     for key in path[:-1]:
         section = section[key]
     section[path[-1]] = bad
+    assert _run(cfg) == (2, False), (path, bad)
+
+
+@pytest.mark.parametrize("path, bad", OUT_OF_RANGE, ids=[f"{p[-1]}={b}" for p, b in OUT_OF_RANGE])
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_solver_setting_out_of_range_exits_2(off_dir, path, bad):
+    cfg = _base("sphere", off_dir)
+    cfg[path[0]][path[1]] = bad
     assert _run(cfg) == (2, False), (path, bad)

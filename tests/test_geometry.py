@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tmsurf import geometry
+from tmsurf.constructions.radial import radial_model
 from tmsurf.geometry import (
     GroupError,
     MeshError,
@@ -16,7 +17,6 @@ from tmsurf.geometry import (
     check_group_action,
     geodesic_distance,
     group_action,
-    max_radius,
     mean_edge_length,
     read_group_json,
     read_off,
@@ -138,8 +138,8 @@ def test_torus_too_small():
 
 
 def test_max_radius_and_mean_edge(sphere3, torus24):
-    assert max_radius(sphere3.mesh) == np.pi
-    assert max_radius(torus24.mesh) == 0.5
+    assert radial_model(sphere3.mesh).max_rho == np.pi
+    assert radial_model(torus24.mesh).max_rho == 0.5
     # per triangle two grid sides of 1/24 and one diagonal of sqrt(2)/24
     want = (2 + np.sqrt(2)) / (3 * 24)
     assert mean_edge_length(torus24.mesh) == pytest.approx(want, rel=1e-15)
@@ -232,7 +232,7 @@ def test_off_round_trip_torus(tmp_path):
     assert back.grid_shape == (12, 16)
     assert back.periods == (2.0, 1.0)
     assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.grid_index, mesh.grid_index)
+    assert back.grid_shape == mesh.grid_shape
     action = group_action(back, "shift(6,0)")
     assert np.array_equal(action.permutations, act.permutations)
 
@@ -334,6 +334,24 @@ def test_group_json_validation(tmp_path):
     path.write_text('{"name": "x", "permutations": [[0, 1, 2]]}')
     with pytest.raises(GroupError, match="act on 3"):
         read_group_json(path, n_vertices=5)
+
+
+# each row would load as the swap (1, 0, 2) if numpy converted its entries
+@pytest.mark.parametrize(
+    "row", ["[1, 0, 2.0]", "[1.5, 0.2, 2]", "[true, false, 2]", '["1", "0", "2"]', "[1, 0, 2e0]"],
+    ids=["integral-float", "floats", "booleans", "strings", "exponent"],
+)
+def test_group_json_takes_only_json_integers(tmp_path, row):
+    path = tmp_path / "g.json"
+    path.write_text('{"permutations": [[0, 1, 2], ' + row + "]}")
+    with pytest.raises(GroupError, match="JSON integers"):
+        read_group_json(path, n_vertices=3)
+
+
+def test_decimal_words_table_is_shared_and_read_only():
+    words = geometry._decimal_words(1234)
+    assert geometry._decimal_words(1234) is words
+    assert not words.flags.writeable
 
 
 # sha256 of the exports of a level-2 antipodal sphere and a 6x8 shift(3,0)

@@ -1,8 +1,10 @@
 """The sort-free mesh layer against its row-sort and COO references, bit for bit.
 
-Edge lengths, areas and Dirichlet energies are summed by a min/max network,
-K and M share one CSR pattern, and group.json is written from byte blocks;
-each must give exactly the bits of the implementations kept in conftest.
+Edge lengths, areas, Dirichlet energies, sphere distances and vertex norms
+are summed by a min/max network, torus offsets are read off the row-major
+vertex numbering, K and M share one CSR pattern, the mass diagonal is half
+the vertex areas, and group.json is written from byte blocks; each must give
+exactly the bits of the implementations kept in conftest.
 """
 
 import numpy as np
@@ -10,15 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmsurf import cli
+from tmsurf import cli, geometry
 from tmsurf._sums import ordered3, sorted_sum3
 from tmsurf.discretization import assemble
 from tmsurf.geometry import (
     GroupAction,
     MeshError,
     SurfaceMesh,
+    axis_offset,
     build_flat_torus_mesh,
     build_sphere_mesh,
+    geodesic_distance,
     read_off,
     triangle_areas,
     triangle_corners,
@@ -99,6 +103,58 @@ def test_operators_share_one_canonical_pattern(mesh, sorted_references):
         assert got.indices.dtype == want.indices.dtype and got.indptr.dtype == want.indptr.dtype
         assert np.array_equal(got.indices, want.indices) and np.array_equal(got.indptr, want.indptr)
         assert _bits_equal(got.data, want.data)
+
+
+PRIMITIVE_MESHES = {
+    **MESHES,
+    "sphere-antipodal-6": lambda: build_sphere_mesh(6, "antipodal")[0],
+    "torus17x5-periods": lambda: build_flat_torus_mesh(17, 5, periods=(0.3, 7.1))[0],
+}
+
+
+@pytest.fixture(params=[*PRIMITIVE_MESHES, *FILE_MESHES])
+def primitive_mesh(request, tmp_path) -> SurfaceMesh:
+    if request.param in PRIMITIVE_MESHES:
+        return PRIMITIVE_MESHES[request.param]()
+    return FILE_MESHES[request.param](tmp_path)
+
+
+def test_mesh_primitives_match_their_former_copies(primitive_mesh, sorted_references):
+    mesh, ref = primitive_mesh, sorted_references
+    tri = mesh.triangles
+    for j, k in ((1, 2), (2, 0), (0, 1)):
+        u, v = tri[:, j], tri[:, k]
+        assert _bits_equal(geometry._edge_sq(mesh, u, v), ref.vertex_edge_sq(mesh, u, v))
+    assert _bits_equal(assemble(mesh).mass.diagonal(), ref.mass_diagonal(mesh))
+    every = np.arange(mesh.n_vertices)
+    for source in sorted({0, mesh.n_vertices // 3, mesh.n_vertices - 1}):
+        disp = np.column_stack([axis_offset(mesh, source, every, k) for k in range(mesh.vertices.shape[1])])
+        assert _bits_equal(disp, ref.displacements(mesh, source, every))
+        if mesh.surface_kind != "imported":
+            assert _bits_equal(geodesic_distance(mesh, source), ref.geodesic(mesh, source))
+
+
+@pytest.mark.parametrize("base", [geometry._icosahedron, geometry._octahedron])
+def test_canonical_normalize_matches_a_row_sort(base, sorted_references):
+    # the midpoints of every subdivision level, as the sphere builder projects them
+    verts, tris = base()
+    for _ in range(6):
+        assert _bits_equal(geometry._canonical_normalize(verts), sorted_references.normalize(verts))
+        verts, tris = geometry._subdivide(geometry._canonical_normalize(verts), tris)
+    rng = np.random.default_rng(0)
+    heavy = rng.standard_cauchy((20000, 3)) * np.where(rng.random((20000, 3)) < 0.1, 0.0, 1.0)
+    heavy = heavy[np.any(heavy != 0, axis=1)]
+    assert _bits_equal(geometry._canonical_normalize(heavy), sorted_references.normalize(heavy))
+
+
+@EXAMPLES
+@given(row=st.one_of(
+    st.lists(st.integers(-2, 6), max_size=6),
+    st.integers(0, 6).flatmap(lambda n: st.permutations(range(n))),
+))
+def test_permutation_check_matches_a_row_sort(row, sorted_references):
+    row = np.array(row, dtype=np.int64)
+    assert geometry._is_permutation(row) == sorted_references.is_permutation(row)
 
 
 # coordinates with many ties, zeros of both signs and repeated corners
