@@ -278,7 +278,7 @@ def _config_mesh(cfg: dict):
         action = read_group_json(_text(surface["perms"], "perms"), mesh.n_vertices)
         check_group_action(mesh, action)
         return mesh, action
-    raise ConfigError(f"unknown surface kind {kind!r}")
+    raise ConfigError(f"unknown surface 'kind' {kind!r}; use 'sphere', 'torus' or 'off'")
 
 
 def _cluster_level(value, spec) -> int:
@@ -292,6 +292,8 @@ def _cluster_level(value, spec) -> int:
 def _resolve_alpha(cfg_alpha, spec) -> float:
     if isinstance(cfg_alpha, dict):
         level = _cluster_level(cfg_alpha.get("level", 1), spec)
+        if "gap_fraction" not in cfg_alpha:
+            raise ConfigError(f"config 'alpha' object needs a 'gap_fraction', got {cfg_alpha!r}")
         return _number(cfg_alpha["gap_fraction"], "gap_fraction") * spec.group_value(level)
     return _number(cfg_alpha, "alpha")
 
@@ -376,6 +378,8 @@ def _stage_maximize(ctx: Context) -> None:
     seed = mcfg.get("seed", "moser")
     if isinstance(seed, list):
         seed = np.asarray(_numbers(seed, "seed"))
+        if seed.shape != (ctx.mesh.n_vertices,):
+            raise ConfigError(f"config 'seed' must hold {ctx.mesh.n_vertices} vertex values, got {len(seed)}")
     elif seed not in ("moser", "symmetric", "random"):
         raise ConfigError(f"config 'seed' must be 'moser', 'symmetric', 'random' or a list, got {seed!r}")
     state = ctx.state = solve_subcritical(
@@ -628,7 +632,7 @@ def _parse_config(text: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}")
+        raise ConfigError(f"unsupported config 'schema' {cfg.get('schema')!r}, expected {SCHEMA_VERSION}")
     for name in _OBJECT_SECTIONS:
         if not isinstance(cfg.get(name, {}), dict):
             raise ConfigError(f"config '{name}' must be an object")

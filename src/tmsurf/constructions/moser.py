@@ -72,9 +72,14 @@ def min_orbit_separation(mesh: SurfaceMesh, action: GroupAction, center: int,
     return float(np.min(d[d > 0]))
 
 
-def cap_radius_limit(mesh: SurfaceMesh, action: GroupAction, center: int) -> float:
-    """r0: quarter of the minimal orbit separation, capped by the surface radius."""
-    return min(min_orbit_separation(mesh, action, center) / 4.0, radial_model(mesh).max_rho / 2.0)
+def cap_radius_limit(mesh: SurfaceMesh, action: GroupAction, center: int,
+                     dist: np.ndarray | None = None) -> float:
+    """r0: quarter of the minimal orbit separation, capped by the surface radius.
+
+    ``dist`` is the center's distance row, as in ``min_orbit_separation``.
+    """
+    sep = min_orbit_separation(mesh, action, center, dist)
+    return min(sep / 4.0, radial_model(mesh).max_rho / 2.0)
 
 
 def _profile(rho: np.ndarray, r: float, k: int) -> np.ndarray:
@@ -86,8 +91,13 @@ def _profile(rho: np.ndarray, r: float, k: int) -> np.ndarray:
     return np.where(rho <= rho_in, float(np.log(k)), np.where(rho < r, ann, 0.0))
 
 
-def moser_evaluate(seq: MoserSequence, mesh: SurfaceMesh, action: GroupAction) -> MoserReport:
-    """Vertex samples of the symmetrized cap function with its flat-model energy."""
+def moser_evaluate(seq: MoserSequence, mesh: SurfaceMesh, action: GroupAction,
+                   dist: np.ndarray | None = None) -> MoserReport:
+    """Vertex samples of the symmetrized cap function with its flat-model energy.
+
+    ``dist`` is the center's distance row, ``geodesic_distance(mesh,
+    seq.center)``, for a caller that holds it; it is computed once otherwise.
+    """
     orbit = action.orbit_of(seq.center)
     if len(orbit) != seq.ell:
         raise ValueError(f"center {seq.center} has orbit size {len(orbit)}, sequence says {seq.ell}")
@@ -97,14 +107,17 @@ def moser_evaluate(seq: MoserSequence, mesh: SurfaceMesh, action: GroupAction) -
             f"{action.min_orbit_size}); concentration statements apply to minimal orbits",
             stacklevel=2,
         )
-    r0 = cap_radius_limit(mesh, action, seq.center)
+    if dist is None:
+        dist = geodesic_distance(mesh, seq.center)
+    r0 = cap_radius_limit(mesh, action, seq.center, dist)
     if seq.radius > r0:
         raise MeshError(
             f"overlapping orbit balls: radius {seq.radius} exceeds r0={r0:.6g} "
             "(quarter of the minimal orbit separation)"
         )
     per_point = np.stack(
-        [_profile(geodesic_distance(mesh, int(p)), seq.radius, seq.k) for p in orbit]
+        [_profile(dist if p == seq.center else geodesic_distance(mesh, int(p)), seq.radius, seq.k)
+         for p in orbit]
     )
     # caps are disjoint, so at most one row is nonzero per vertex; the sorted
     # reduction keeps the samples bitwise equal across group images

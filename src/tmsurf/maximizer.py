@@ -18,6 +18,16 @@ of the load and the multipliers, shared by the ascent step, the polish, the
 returned state and ``multiplier_report``.  Vertex vectors appear only in a
 vertex seed's values and in the returned u.
 
+Each evaluated iterate costs one back-substitution on the held factorization
+of K - alpha M: the residual r = (K - alpha M) w - rhs is solved once for the
+dual-norm defect, z = solve(r), and both search directions follow from it.
+By linearity solve(rhs) = w - z, the fixed-point image.  Since
+F = lambda rhs + mu a + lambda sum gamma_k M e_k, and solve(a) is constant
+((K - alpha M) 1 = -alpha a; zero under the alpha = 0 border) while
+solve(M e_k) = e_k / (lambda_k - alpha) up to the eigenpair residual, the
+projection that removes the mass mean and the e_k turns the preconditioned
+gradient solve(F) into lambda times the projected w - z.
+
 For alpha below the gap and beta <= 4*pi*ell the supremum is attained and
 maximizers stay bounded, so ``blowup_diagnostics`` reports only numbers that
 hold at any height c_eps: the peak orbit, its share of the lumped
@@ -153,13 +163,17 @@ class MaximizerState:
         return self.spec.red.expand(self.w)
 
 
-def _constrain(spec: ProblemSpec, w: np.ndarray) -> np.ndarray:
-    """Orbit vector ``w`` without its mass mean and its removed-cluster parts."""
-    w = remove_mass_mean(w, spec.red)
+def _remove_basis(spec: ProblemSpec, w: np.ndarray) -> np.ndarray:
+    """Orbit vector ``w`` without its removed-cluster parts."""
     basis = spec.orbit_basis
     if basis.size:
         w = w - basis @ (basis.T @ (spec.red.mass @ w))
     return w
+
+
+def _constrain(spec: ProblemSpec, w: np.ndarray) -> np.ndarray:
+    """Orbit vector ``w`` without its mass mean and its removed-cluster parts."""
+    return _remove_basis(spec, remove_mass_mean(w, spec.red))
 
 
 def _normalize(spec: ProblemSpec, w: np.ndarray) -> np.ndarray:
@@ -171,7 +185,7 @@ def _normalize(spec: ProblemSpec, w: np.ndarray) -> np.ndarray:
 
 def normalized_competitor(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Orbit vector of arbitrary vertex values, projected to the unit sphere of the problem."""
-    return _normalize(spec, _constrain(spec, project_invariant_meanzero(values, spec.red)))
+    return _normalize(spec, _remove_basis(spec, project_invariant_meanzero(values, spec.red)))
 
 
 def _seed_orbits(spec: ProblemSpec, seed, rng_seed: int, solve) -> np.ndarray:
@@ -183,8 +197,9 @@ def _seed_orbits(spec: ProblemSpec, seed, rng_seed: int, solve) -> np.ndarray:
         return normalized_competitor(rng.standard_normal(ops.n), spec)
     center = action.min_orbit_vertex
     if seed == "moser":
-        r = 0.8 * cap_radius_limit(ops.mesh, action, center)
-        rep = moser_evaluate(MoserSequence(center, r, 10, spec.ell), ops.mesh, action)
+        dist = geodesic_distance(ops.mesh, center)
+        r = 0.8 * cap_radius_limit(ops.mesh, action, center, dist)
+        rep = moser_evaluate(MoserSequence(center, r, 10, spec.ell), ops.mesh, action, dist)
         return normalized_competitor(rep.values, spec)
     if seed == "symmetric":
         # smooth non-concentrated invariant profile: shifted solve against the
@@ -218,11 +233,16 @@ def _multipliers(spec: ProblemSpec, w: np.ndarray):
     return load, rhs, shift, lam_sh, mu_sh, gammas
 
 
-def _residual(spec: ProblemSpec, w: np.ndarray, rhs: np.ndarray, solve) -> float:
+def _residual(spec: ProblemSpec, w: np.ndarray, rhs: np.ndarray, solve):
+    """The dual-norm defect of (K - alpha M) w = rhs, and z = solve(r) of its residual r.
+
+    ``w - z`` is solve(rhs), the fixed-point image of ``w``.
+    """
     red = spec.red
     r = red.stiffness @ w - spec.alpha * (red.mass @ w) - rhs
-    d = _constrain(spec, solve(r))
-    return float(np.sqrt(max(float(d @ r), 0.0)))
+    z = solve(r)
+    d = _constrain(spec, z)
+    return float(np.sqrt(max(float(d @ r), 0.0))), z
 
 
 def solve_subcritical(
@@ -247,24 +267,25 @@ def solve_subcritical(
     w = _seed_orbits(spec, seed, rng_seed, solve)
     log_j = exp_functional(w, spec.beta, red).log_value
     step = 1.0
-    best = None  # (residual, w, log_j, iteration)
-    carried = None  # (load, rhs, residual) of an accepted polish trial, which is the next w
+    best = None  # (residual, w) of the iterate with the smallest residual
+    carried = None  # (lam_sh, residual, z) of an accepted polish trial, which is the next w
 
     it = 0
     for it in range(1, max_iters + 1):
         if carried is None:
-            load, rhs = _multipliers(spec, w)[:2]
-            res = _residual(spec, w, rhs, solve)
+            _, rhs, _, lam_sh = _multipliers(spec, w)[:4]
+            res, z = _residual(spec, w, rhs, solve)
         else:
-            (load, rhs, res), carried = carried, None
+            (lam_sh, res, z), carried = carried, None
         if best is None or res < best[0]:
-            best = (res, w, log_j, it)
+            best = (res, w)
         if res <= tol:
             break
 
-        # damped fixed-point on (K - alpha M) w = rhs(w)
+        # damped fixed-point on (K - alpha M) w = rhs(w); solve(rhs) = w - z
         moved = False
-        w_fp = _normalize(spec, _constrain(spec, solve(rhs)))
+        p = _constrain(spec, w - z)
+        w_fp = _normalize(spec, p)
         if float(w_fp @ (red.mass @ w)) < 0:
             w_fp = -w_fp
         for theta in _POLISH_DAMPING:
@@ -272,17 +293,18 @@ def solve_subcritical(
             log_try = exp_functional(w_try, spec.beta, red).log_value
             if log_try + 64 * np.finfo(float).eps * max(1.0, abs(log_j)) < log_j:
                 continue
-            load_try, rhs_try = _multipliers(spec, w_try)[:2]
-            res_try = _residual(spec, w_try, rhs_try, solve)
+            _, rhs_try, _, lam_try = _multipliers(spec, w_try)[:4]
+            res_try, z_try = _residual(spec, w_try, rhs_try, solve)
             if res_try < _POLISH_FACTOR * res:
                 w, log_j, moved = w_try, log_try, True
-                carried = (load_try, rhs_try, res_try)
+                carried = (lam_try, res_try, z_try)
                 break
         if moved:
             continue
 
-        # preconditioned gradient ascent with backtracking on the log value
-        d = _constrain(spec, solve(load))
+        # preconditioned gradient ascent with backtracking on the log value;
+        # the projected solve(load) is lam_sh * p (module docstring)
+        d = lam_sh * p
         accepted = False
         while step >= _STEP_MIN:
             w_try = _normalize(spec, _constrain(spec, w + step * d))
@@ -295,9 +317,8 @@ def solve_subcritical(
         if not accepted:
             break  # stationary to floating-point resolution
 
-    w = _normalize(spec, best[1])
-    _, rhs, shift, lam_sh, mu_sh, gammas = _multipliers(spec, w)
-    res = _residual(spec, w, rhs, solve)
+    res, w = best  # normalized when it was evaluated
+    _, _, shift, lam_sh, mu_sh, gammas = _multipliers(spec, w)
     val = exp_functional(w, spec.beta, red)
     nrm = norm_one_alpha(w, red, spec.norm_params)
     if abs(nrm - 1.0) > 1e-10:

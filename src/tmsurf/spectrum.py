@@ -11,7 +11,11 @@ Small orbit spaces take dense ``eigh``. Larger ones take shift-invert
 ``eigsh`` at sigma = -0.5, whose inverse operator is the orbit space's held
 solver ``red.shifted_solver(-0.5)``: the one sparse factorization path, in the
 nested-dissection order ``orbit_reduction`` computed. A later Green or
-maximizer alpha replaces that factorization.
+maximizer alpha replaces that factorization. The Lanczos basis holds
+``_NCV_EXTRA`` vectors beyond the requested pairs (never fewer than ARPACK's
+default): with ARPACK's default a k that cuts an eigenvalue cluster, such as
+k = 9 inside the five-fold l = 4 cluster of the antipodal sphere, restarts a
+seed-dependent number of times.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ _DENSE_CUTOFF = 1500
 _SHIFT = -0.5  # shift-invert pole below the zero eigenvalue, so K - _SHIFT M is definite
 _GROUP_RTOL = 1e-6
 _RESIDUAL_TOL = 1e-8
+_NCV_EXTRA = 16  # Lanczos vectors beyond k; see the module docstring
 
 
 class SpectrumError(RuntimeError):
@@ -86,10 +91,11 @@ def invariant_spectrum(red: OrbitReduction, count: int, seed: int = 0) -> Invari
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n_orb)
         op_inv = spla.LinearOperator((n_orb, n_orb), matvec=red.shifted_solver(_SHIFT), dtype=float)
+        ncv = min(n_orb, max(2 * k_req + 1, 20, k_req + _NCV_EXTRA))
         try:
             vals, vecs = spla.eigsh(
-                red.stiffness, k=k_req, M=red.mass, sigma=_SHIFT, which="LM", v0=v0, maxiter=5000,
-                OPinv=op_inv,
+                red.stiffness, k=k_req, M=red.mass, sigma=_SHIFT, which="LM", v0=v0, ncv=ncv,
+                maxiter=5000, OPinv=op_inv,
             )
         except spla.ArpackNoConvergence as exc:  # pragma: no cover
             raise SpectrumError(f"eigensolver did not converge: {exc}") from exc

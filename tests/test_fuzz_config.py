@@ -7,8 +7,8 @@ run) or 2 (input error, no `results.json`); exit 1 would be a traceback and
 exit 3 a stage failure blamed on the numerics.  A numeric key of the sphere
 config set to NaN or +-Infinity, which `json` reads as floats, must exit 2:
 that config runs every stage, and so must a solver setting outside its range
-(a finite list of cases).  Examples are derandomized, so every run checks the
-same configs.
+(a finite list of cases).  Every exit 2 names the offending key on stderr.
+Examples are derandomized, so every run checks the same configs.
 """
 
 import contextlib
@@ -105,20 +105,28 @@ def _base(name: str, off_dir: Path) -> dict:
     return cfg
 
 
-def _run(cfg: dict) -> tuple[int, bool]:
+def _run(cfg: dict) -> tuple[int, bool, str]:
+    """Exit code, whether ``results.json`` was written, and stderr."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "config.json"
         path.write_text(json.dumps(cfg))
         out = Path(d) / "out"
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(["run", str(path), "--out-dir", str(out)])
-        return code, (out / "results.json").exists()
+        return code, (out / "results.json").exists(), err.getvalue()
+
+
+def _assert_input_error(cfg: dict, key: str, case) -> None:
+    code, wrote_results, err = _run(cfg)
+    assert (code, wrote_results) == (2, False), (case, code)
+    assert f"'{key}'" in err, (case, err)
 
 
 @pytest.mark.parametrize("name", ["sphere", "torus", "off"])
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_base_configs_exit_0(name, off_dir):
-    assert _run(_base(name, off_dir)) == (0, True)
+    assert _run(_base(name, off_dir))[:2] == (0, True)
 
 
 @FUZZ
@@ -131,10 +139,11 @@ def test_wrong_key_type_exits_0_or_2(off_dir, case):
     for key in path[:-1]:
         section = section[key]
     section[path[-1]] = copy.deepcopy(wrong)
-    code, wrote_results = _run(cfg)
+    code, wrote_results, err = _run(cfg)
     assert code in (0, 2), (path, wrong, code)
     if code == 2:
         assert not wrote_results, (path, wrong)
+        assert f"'{path[-1]}'" in err, (path, wrong, err)
 
 
 @FUZZ
@@ -147,7 +156,7 @@ def test_non_finite_number_exits_2(off_dir, case):
     for key in path[:-1]:
         section = section[key]
     section[path[-1]] = bad
-    assert _run(cfg) == (2, False), (path, bad)
+    _assert_input_error(cfg, path[-1], (path, bad))
 
 
 @pytest.mark.parametrize("path, bad", OUT_OF_RANGE, ids=[f"{p[-1]}={b}" for p, b in OUT_OF_RANGE])
@@ -155,4 +164,4 @@ def test_non_finite_number_exits_2(off_dir, case):
 def test_solver_setting_out_of_range_exits_2(off_dir, path, bad):
     cfg = _base("sphere", off_dir)
     cfg[path[0]][path[1]] = bad
-    assert _run(cfg) == (2, False), (path, bad)
+    _assert_input_error(cfg, path[1], (path, bad))

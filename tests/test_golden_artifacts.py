@@ -65,8 +65,8 @@ GOLDEN = {
     "sphere/manifest.json": "2b13acf21a1a900252b1e3029b434f79c7ae5a87996207b66c37f2678cad160a",
     "sphere/margins.csv": "f74d3e3c56d70ad71a8e81a8f71102e475e0cea55e56c4b23de9b54c72a803e2",
     "sphere/mesh.off": "9e6d5eca2889ffb8e4dedc4ac65c57d749e90cafcd197729bb5f4c38e2754b9a",
-    "sphere/results.json": "64c1c9ab92d7365da8479a2a9e3e3c00e108e9114537970e0f88b99eabafc2bd",
-    "sphere/state.json": "8587698b43008a719a7c3ba23057eadafe54074bfcd47399c492b0d2759f3abe",
+    "sphere/results.json": "842f26530e7fdbd3b4644ad4559d36631780a7106b54f5687e4bcf34635d29fa",
+    "sphere/state.json": "dc2e959ff28540e71ccd32a8160d234c5878e6e1eb3e604e8e81e77f47190d78",
     "export/config.json": "4a308a0832c656beb2eff9f694dcf58dbef941aefa0be1994aa7b6375d4c0766",
     "export/group.json": "d0fd0e3fe2b5bfb5e051741144b854b4ed34855f02ac02496916b2dae83eee63",
     "export/manifest.json": "6f6890302f187e6b74b9eb995c3c87226092f48e9d16f770c6de4937c5b218dd",

@@ -121,6 +121,25 @@ def test_moderate_epsilon_multipliers(sphere3, moderate_state):
     assert report.mu_over_lambda == pytest.approx(state.mu_eps / state.lambda_eps, rel=1e-14)
 
 
+def test_one_backsolve_per_iterate(sphere4, monkeypatch):
+    # criterion 10's problem: the residual's solve also gives the fixed-point
+    # image and the ascent direction, and no polish trial is rejected here, so
+    # each iteration solves once (two solves per iteration without that)
+    alpha = 0.25 * sphere4.spectrum.lambda_1
+    spec = ProblemSpec(sphere4.red, sphere4.spectrum, 1, alpha, epsilon_sub=2 * np.pi)
+    solve = sphere4.red.shifted_solver(alpha)
+    solves = []
+
+    def counted(b):
+        solves.append(1)
+        return solve(b)
+
+    monkeypatch.setattr(sphere4.red, "held", (alpha, counted))
+    state = solve_subcritical(spec, seed="moser", tol=1e-8)
+    assert state.converged
+    assert (state.iterations, len(solves)) == (51, 51)
+
+
 def test_solver_deterministic(sphere3, moderate_state):
     spec, state = moderate_state
     again = solve_subcritical(spec, seed="moser")

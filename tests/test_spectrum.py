@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tmsurf.constructions import green
+from tmsurf.discretization import assemble, orbit_reduction
+from tmsurf.geometry import build_sphere_mesh
 from tmsurf.maximizer import ProblemSpec
 from tmsurf.spectrum import SpectrumError, invariant_spectrum
 
@@ -78,6 +81,33 @@ def test_spectrum_is_deterministic(sphere3):
     again = invariant_spectrum(sphere3.red, count=8)
     assert np.array_equal(again.eigenvalues, sphere3.spectrum.eigenvalues)
     assert np.array_equal(again.eigenvectors, sphere3.spectrum.eigenvectors)
+
+
+def test_eigensolve_cost_does_not_hang_on_the_seed(monkeypatch):
+    # k = 9 cuts the five-fold l = 4 cluster of the level-6 antipodal sphere;
+    # with ARPACK's default 20 Lanczos vectors rng seeds 30 and 37 took 849
+    # and 1053 shift-invert solves, against 121 at seed 0
+    mesh, action = build_sphere_mesh(6, "antipodal")
+    red = orbit_reduction(assemble(mesh), action)
+    solves = []
+    factor = green.invariant_shifted_solver
+
+    def counted_factor(red, alpha):
+        solve = factor(red, alpha)
+
+        def counted(b):
+            solves.append(alpha)
+            return solve(b)
+
+        return counted
+
+    monkeypatch.setattr(green, "invariant_shifted_solver", counted_factor)
+    reference = invariant_spectrum(red, count=8, seed=0).eigenvalues
+    for seed in (30, 37):
+        solves.clear()
+        values = invariant_spectrum(red, count=8, seed=seed).eigenvalues
+        assert len(solves) <= 130, (seed, len(solves))
+        np.testing.assert_allclose(values, reference, rtol=1e-12, atol=0)
 
 
 def test_count_validation(sphere3):
