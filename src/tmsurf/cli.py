@@ -22,17 +22,11 @@ import numpy as np
 
 from . import __version__
 from .constructions.family import EPS_MAX, build_test_family, test_family_lower_bound
-from .constructions.green import (
-    GreenDecomposition,
-    extract_A,
-    green_l2_norm_sq,
-    green_solve,
-    richardson_pair,
-    upper_bound_value,
-)
+from .constructions.green import GreenDecomposition, green_solve, richardson_pair
 from .constructions.radial import radial_model, surface_model
 from .discretization import NormParams, OrbitReduction, assemble, orbit_reduction
 from .geometry import (
+    SPHERE_GROUP_KINDS,
     GroupAction,
     SurfaceMesh,
     build_flat_torus_mesh,
@@ -298,6 +292,13 @@ def _resolve_alpha(cfg_alpha, spec) -> float:
     return _number(cfg_alpha, "alpha")
 
 
+def _rng_seed(cfg: dict) -> int:
+    seed = _number(cfg.get("rng_seed", 0), "rng_seed", int)
+    if seed < 0:
+        raise ConfigError(f"config 'rng_seed' must be nonnegative, got {seed}")
+    return seed
+
+
 def _stage_mesh(ctx: Context) -> None:
     ctx.mesh, ctx.action = _config_mesh(ctx.cfg)
     mesh, action = ctx.mesh, ctx.action
@@ -320,8 +321,7 @@ def _stage_spectrum(ctx: Context) -> None:
     count = _number(ctx.cfg.get("eigen_count", 8), "eigen_count", int)
     if not 1 <= count < ctx.red.n:
         raise ConfigError(f"config 'eigen_count' {count} outside 1..{ctx.red.n - 1}, the invariant modes")
-    seed = _number(ctx.cfg.get("rng_seed", 0), "rng_seed", int)
-    ctx.spec = invariant_spectrum(ctx.red, count, seed=seed)
+    ctx.spec = invariant_spectrum(ctx.red, count, seed=_rng_seed(ctx.cfg))
     ctx.results["spectrum"] = _spectrum_payload(ctx.spec)
 
 
@@ -337,11 +337,8 @@ def _stage_green(ctx: Context) -> None:
     if not 0 <= source < ctx.mesh.n_vertices:
         raise ConfigError(f"green source {source} is not a vertex index (0..{ctx.mesh.n_vertices - 1})")
     ctx.dec = green_solve(ctx.red, source, params)
-    extract_A(ctx.dec)
-    green_l2_norm_sq(ctx.dec)
-    bound = upper_bound_value(ctx.dec)
     ctx.results["green"] = _green_payload(ctx.dec, with_values=False)
-    ctx.results["upper_bound"] = {"value": bound.value, "log_value": bound.log_value}
+    ctx.results["upper_bound"] = ctx.dec.bound._asdict()
 
 
 def _stage_bounds(ctx: Context) -> None:
@@ -387,7 +384,7 @@ def _stage_maximize(ctx: Context) -> None:
         seed,
         max_iters=max_iters,
         tol=tol,
-        rng_seed=_number(ctx.cfg.get("rng_seed", 0), "rng_seed", int),
+        rng_seed=_rng_seed(ctx.cfg),
     )
     rep = multiplier_report(state)
     ctx.results["maximize"] = _state_payload(state, with_vector=False)
@@ -428,13 +425,14 @@ def _stage_sharpness(ctx: Context) -> None:
     k_grid = _numbers(scfg.get("k_grid", ()), "k_grid", int)
     if beta_grid and (len(k_grid) < 2 or min(k_grid) < 1):
         raise ConfigError(f"config 'k_grid' needs two or more heights >= 1 for a slope, got {k_grid}")
+    ell = _number(scfg["ell"], "ell", int) if "ell" in scfg else ctx.action.min_orbit_size
+    if ell < 1:
+        raise ConfigError(f"config 'ell' must be at least 1, got {ell}")
+    r = _number(scfg.get("r", 0.05), "r")
+    if not 0.0 < r < model.max_rho:
+        raise ConfigError(f"config 'r' {r} outside (0, {model.max_rho:.6g})")
     ctx.results["sharpness"] = sharpness_probe(
-        model,
-        _number(scfg["ell"], "ell", int) if "ell" in scfg else ctx.action.min_orbit_size,
-        beta_grid,
-        k_grid,
-        r=_number(scfg.get("r", 0.05), "r"),
-        alpha=_number(scfg.get("alpha", 0.0), "alpha"),
+        model, ell, beta_grid, k_grid, r=r, alpha=_number(scfg.get("alpha", 0.0), "alpha")
     )
 
 
@@ -490,7 +488,8 @@ def _add_mesh_args(p: argparse.ArgumentParser, level_flag: str = "--level") -> N
     p.add_argument("--nx", type=int, default=64)
     p.add_argument("--ny", type=int, default=64)
     p.add_argument("--periods", type=float, nargs=2, default=(1.0, 1.0), metavar=("A", "B"))
-    p.add_argument("--group", default="trivial", help="sphere: trivial|antipodal|cyclic(m)|dihedral(m); torus: trivial|shift(a,b)[+shift(c,d)]")
+    p.add_argument("--group", default="trivial",
+                   help=f"sphere: {'|'.join(SPHERE_GROUP_KINDS)}; torus: trivial|shift(a,b)[+shift(c,d)]")
     p.add_argument("--mesh", help="OFF file to load instead of building a surface")
     p.add_argument("--perms", help="permutation JSON for --mesh (defaults to --group, or trivial)")
 

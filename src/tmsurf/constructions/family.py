@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._sums import logsumexp, sorted_sum
-from .green import GreenDecomposition, UpperBound, extract_A, green_l2_norm_sq, upper_bound_value
+from .green import GreenDecomposition, UpperBound
 from .moser import min_orbit_separation
 from .radial import log_integral_exp, radial_integral
 
@@ -110,10 +110,6 @@ def build_test_family(
     annulus are of order R*eps*log(R*eps) and are dropped; they are far below
     the O(1/R^2) terms that the construction itself carries.
     """
-    if dec.a_const is None:
-        extract_A(dec)
-    if dec.l2_sq is None:
-        green_l2_norm_sq(dec)
     if not 0.0 < eps < EPS_MAX:
         raise FamilyError(f"eps={eps} outside (0, {EPS_MAX}); the profile needs R = -log eps > 1")
     ell, alpha, a_const = dec.ell, dec.alpha, dec.a_const
@@ -271,14 +267,13 @@ def test_family_lower_bound(fam: TestFunctionFamily, n_quad: int = 400) -> Lower
         [np.log(outer_value), np.log(ell) + log_i_in]
         + ([np.log(ell * annulus_value)] if annulus_value > 0 else [])
     )
-    bound = upper_bound_value(dec)
-    margin = value - bound.value
+    margin = value - dec.bound.value
     tether = gamma * dec.l2_sq / fam.c_sq
     return LowerBoundReport(
         eps=fam.eps,
         value=value,
         log_value=log_value,
-        bound=bound,
+        bound=dec.bound,
         margin=margin,
         tether=float(tether),
         margin_c_sq=float(margin * fam.c_sq),

@@ -78,8 +78,15 @@ def invariant_shifted_solver(red: OrbitReduction, alpha: float) -> Callable[[np.
     return solve
 
 
+class UpperBound(NamedTuple):
+    value: float
+    log_value: float
+
+
 @dataclass(eq=False)
 class GreenDecomposition:
+    """An orbit Green function; ``green_solve`` fills every field, the fitted ones too."""
+
     values: np.ndarray
     source: int
     orbit: np.ndarray
@@ -90,10 +97,11 @@ class GreenDecomposition:
     dist_orbit: np.ndarray  # min geodesic distance over the source orbit
     ops: FemOperators = field(repr=False)
     action: GroupAction = field(repr=False)
-    a_const: float | None = None
-    a_fit_residual: float | None = None
-    a_annulus: tuple[float, float] | None = None
-    l2_sq: float | None = None
+    a_const: float = field(init=False)
+    a_fit_residual: float = field(init=False)
+    a_annulus: tuple[float, float] = field(init=False)
+    l2_sq: float = field(init=False)
+    bound: UpperBound = field(init=False)  # Vol + pi*ell*e^(1+4*pi*ell*A)
 
     @property
     def model(self) -> RadialModel:
@@ -101,13 +109,15 @@ class GreenDecomposition:
 
     def log_singular_model(self, rho):
         """-(1/2*pi*ell) log(rho) + A, the radial profile with psi~ removed."""
-        if self.a_const is None:
-            raise GreenError("regular constant not extracted yet")
         return -np.log(rho) / (2.0 * np.pi * self.ell) + self.a_const
 
 
 def green_solve(red: OrbitReduction, source: int, params: NormParams) -> GreenDecomposition:
-    """Solve the orbit-source Green problem with the factorization ``red`` holds."""
+    """Solve the orbit-source Green problem with the factorization ``red`` holds.
+
+    Then fit the regular constant A, integrate |G|_2^2 and evaluate the upper
+    bound, so the returned decomposition is complete.
+    """
     ops, action = red.ops, red.action
     if not 0 <= source < ops.n:
         raise GreenError(f"source vertex {source} out of range")
@@ -125,10 +135,12 @@ def green_solve(red: OrbitReduction, source: int, params: NormParams) -> GreenDe
     res = np.linalg.norm(ops.stiffness @ g - params.alpha * (ops.mass @ g) - b)
     if res > _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b))):
         raise GreenError(f"Green solve residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e}")
+    del b
     fields = [geodesic_distance(ops.mesh, int(p)) for p in orbit]
     dist_orbit = np.min(np.stack(fields), axis=0)
     dist_source = fields[int(np.flatnonzero(orbit == source)[0])]
-    return GreenDecomposition(
+    del fields  # the fit below keeps only the source row and the orbit minimum
+    dec = GreenDecomposition(
         values=g,
         source=int(source),
         orbit=orbit,
@@ -140,6 +152,10 @@ def green_solve(red: OrbitReduction, source: int, params: NormParams) -> GreenDe
         ops=ops,
         action=action,
     )
+    extract_A(dec)
+    green_l2_norm_sq(dec)
+    dec.bound = upper_bound_value(dec)
+    return dec
 
 
 def extract_A(dec: GreenDecomposition, annulus: tuple[float, float] = (5.0, 20.0)) -> float:
@@ -193,8 +209,6 @@ def green_l2_norm_sq(dec: GreenDecomposition) -> float:
     on which the log-singular radial profile is integrated exactly. The psi~
     contribution inside the disks is O(rho_ex^2 log rho_ex) and dropped.
     """
-    if dec.a_const is None:
-        raise GreenError("extract the regular constant before the L2 norm")
     mesh = dec.ops.mesh
     tris = mesh.triangles
     mask = np.zeros(mesh.n_vertices, dtype=bool)
@@ -217,11 +231,6 @@ def green_l2_norm_sq(dec: GreenDecomposition) -> float:
     return dec.l2_sq
 
 
-class UpperBound(NamedTuple):
-    value: float
-    log_value: float
-
-
 def upper_bound_formula(vol: float, ell: int, a_const: float) -> UpperBound:
     """Vol + pi*ell*e^(1+4*pi*ell*A), evaluated through logs."""
     log_peak = np.log(np.pi * ell) + 1.0 + 4.0 * np.pi * ell * a_const
@@ -231,6 +240,4 @@ def upper_bound_formula(vol: float, ell: int, a_const: float) -> UpperBound:
 
 
 def upper_bound_value(dec: GreenDecomposition) -> UpperBound:
-    if dec.a_const is None:
-        raise GreenError("extract the regular constant before the upper bound")
     return upper_bound_formula(dec.ops.mesh.total_area, dec.ell, dec.a_const)

@@ -119,9 +119,9 @@ def moser_evaluate(seq: MoserSequence, mesh: SurfaceMesh, action: GroupAction,
         [_profile(dist if p == seq.center else geodesic_distance(mesh, int(p)), seq.radius, seq.k)
          for p in orbit]
     )
-    # caps are disjoint, so at most one row is nonzero per vertex; the sorted
-    # reduction keeps the samples bitwise equal across group images
-    values = np.sort(per_point, axis=0).sum(axis=0)
+    # caps are disjoint, so at most one row is nonzero per vertex and the sum
+    # is exact in any order: samples are bitwise equal across group images
+    values = per_point.sum(axis=0)
     flat = 8.0 * np.pi * seq.ell * float(np.log(seq.k))
     return MoserReport(seq=seq, values=values, orbit=orbit, flat_energy=flat)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .._sums import logsumexp
-from ..geometry import SurfaceMesh, UnsupportedOperation
+from ..geometry import MeshError, SurfaceMesh, UnsupportedOperation
 
 __all__ = ["RadialModel", "radial_model", "surface_model", "radial_integral", "log_integral_exp"]
 
@@ -51,6 +51,8 @@ def surface_model(kind: str, periods=(1.0, 1.0)) -> RadialModel:
         return RadialModel("sphere", np.pi, 4.0 * np.pi)
     if kind == "torus":
         a, b = periods
+        if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+            raise MeshError(f"torus 'periods' must be positive and finite, got {list(periods)}")
         return RadialModel("torus", 0.5 * min(a, b), a * b)
     raise UnsupportedOperation(f"no closed-form radial metric for surface kind {kind!r}")
 

@@ -28,6 +28,7 @@ __all__ = [
     "UnsupportedOperation",
     "SurfaceMesh",
     "GroupAction",
+    "SPHERE_GROUP_KINDS",
     "build_sphere_mesh",
     "build_flat_torus_mesh",
     "group_action",
@@ -298,46 +299,36 @@ def _finish_mesh(verts, tris, kind, **extra) -> SurfaceMesh:
 # ---------------------------------------------------------------------------
 # groups
 
-_KIND_RE = re.compile(r"^(trivial|antipodal|cyclic\((\d+)\)|dihedral\((\d+)\)|shift\((-?\d+),\s*(-?\d+)\))$")
 _SHIFT_RE = re.compile(r"^shift\((-?\d+),\s*(-?\d+)\)$")
 
-_ROT_Z = {
-    1: np.eye(3, dtype=np.int64),
-    2: np.diag([-1, -1, 1]).astype(np.int64),
-    4: np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.int64),
-}
+_ROT_Z2 = np.diag([-1, -1, 1]).astype(np.int64)
+_ROT_Z4 = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.int64)
 _MIRROR_XZ = np.diag([1, -1, 1]).astype(np.int64)
 
+# Sphere group kind -> (base polyhedron, generator matrices).  The base carries
+# the group exactly: the icosahedron is centrally symmetric, and the octahedron
+# has its poles on the z axis.
+_SPHERE_GROUPS = {
+    "trivial": (_icosahedron, []),
+    "antipodal": (_icosahedron, [-np.eye(3, dtype=np.int64)]),
+    "cyclic(1)": (_octahedron, []),
+    "cyclic(2)": (_octahedron, [_ROT_Z2]),
+    "cyclic(4)": (_octahedron, [_ROT_Z4]),
+    "dihedral(1)": (_octahedron, [_MIRROR_XZ]),
+    "dihedral(2)": (_octahedron, [_ROT_Z2, _MIRROR_XZ]),
+    "dihedral(4)": (_octahedron, [_ROT_Z4, _MIRROR_XZ]),
+}
+SPHERE_GROUP_KINDS = tuple(_SPHERE_GROUPS)
 
-def _parse_kind(group_kind: str):
-    m = _KIND_RE.match(group_kind.replace(" ", ""))
-    if not m:
-        raise GroupError(f"unrecognized group kind {group_kind!r}")
-    if m.group(2) is not None:
-        return "cyclic", int(m.group(2))
-    if m.group(3) is not None:
-        return "dihedral", int(m.group(3))
-    if m.group(4) is not None:
-        return "shift", (int(m.group(4)), int(m.group(5)))
-    return m.group(1), None
 
-
-def _sphere_generators(kind: str, m) -> list[np.ndarray]:
-    if kind == "trivial":
-        return []
-    if kind == "antipodal":
-        return [-np.eye(3, dtype=np.int64)]
-    if m is None or m < 1:
-        raise GroupError(f"invalid order for {kind} group: {m}")
-    if m not in _ROT_Z:
+def _sphere_group(group_kind: str):
+    entry = _SPHERE_GROUPS.get(group_kind.replace(" ", ""))
+    if entry is None:
         raise GroupError(
-            f"offending generator: rotation by 2*pi/{m} about z is not an exact "
-            f"vertex symmetry of the mesh (supported orders: 1, 2, 4)"
+            f"unrecognized sphere group kind {group_kind!r}; the sphere kinds are "
+            f"{', '.join(SPHERE_GROUP_KINDS)}"
         )
-    gens = [] if m == 1 else [_ROT_Z[m]]
-    if kind == "dihedral":
-        gens.append(_MIRROR_XZ)
-    return gens
+    return entry
 
 
 def _row_bytes(points: np.ndarray) -> np.ndarray:
@@ -582,10 +573,7 @@ _SIGNED_PERMUTATIONS = 48
 
 
 def _sphere_action(mesh: SurfaceMesh, group_kind: str) -> GroupAction:
-    kind, m = _parse_kind(group_kind)
-    if kind == "shift":
-        raise GroupError("shift groups act on tori, not spheres")
-    gens = _vertex_permutations(mesh.vertices, _sphere_generators(kind, m), group_kind)
+    gens = _vertex_permutations(mesh.vertices, _sphere_group(group_kind)[1], group_kind)
     perms = _close(gens, _SIGNED_PERMUTATIONS)
     action = GroupAction(group_kind, perms, *_orbits_from_perms(perms))
     _check_simplex_orbits(mesh.triangles, action, gens)
@@ -636,21 +624,10 @@ def _torus_action(
 
 
 def build_sphere_mesh(level: int, group_kind: str = "trivial") -> tuple[SurfaceMesh, GroupAction]:
-    """Geodesic unit sphere by midpoint subdivision.
-
-    The base polyhedron is chosen to carry the requested symmetry exactly:
-    icosahedron for trivial/antipodal (it is centrally symmetric), regular
-    octahedron for z-axis cyclic/dihedral groups (poles are vertices).
-    """
+    """Geodesic unit sphere by midpoint subdivision of the group kind's base polyhedron."""
     if not isinstance(level, (int, np.integer)) or level < 0 or level > 9:
         raise MeshError(f"invalid subdivision level {level}")
-    kind, _ = _parse_kind(group_kind)
-    if kind in ("trivial", "antipodal"):
-        verts, tris = _icosahedron()
-    elif kind in ("cyclic", "dihedral"):
-        verts, tris = _octahedron()
-    else:
-        raise GroupError(f"group kind {group_kind!r} does not act on the sphere")
+    verts, tris = _sphere_group(group_kind)[0]()
     verts = _canonical_normalize(verts)
     for _ in range(level):
         verts, tris = _subdivide(verts, tris)

@@ -329,7 +329,7 @@ def solve_subcritical(
         mu_eps=float(mu_sh * np.exp(shift)),
         gammas=gammas,
         c_eps=float(np.max(np.abs(w))),
-        x_eps=int(np.argmax(np.abs(red.expand(w)))),
+        x_eps=int(red.reps[np.argmax(np.abs(w))]),
         value=val.value,
         log_value=val.log_value,
         residual=res,

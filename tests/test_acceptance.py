@@ -15,14 +15,9 @@ import numpy as np
 import pytest
 
 from tmsurf import cli
-from tmsurf.constructions import (
-    build_test_family,
-    extract_A,
-    green_l2_norm_sq,
-    green_solve,
-    richardson_pair,
-)
-from tmsurf.constructions import test_family_lower_bound as family_lower_bound
+from tmsurf.constructions.family import build_test_family
+from tmsurf.constructions.family import test_family_lower_bound as family_lower_bound
+from tmsurf.constructions.green import extract_A, green_solve, richardson_pair
 from tmsurf.constructions.moser import MoserSequence, moser_evaluate
 from tmsurf.constructions.radial import RadialModel
 from tmsurf.discretization import NormParams, assemble, exp_functional, orbit_reduction
@@ -160,7 +155,7 @@ def regular_part_table(sphere4):
         src = red.action.min_orbit_vertex
         for alpha in (0.0, 3.0):
             dec = green_solve(red, src, NormParams(alpha=alpha, lambda_gap=6.0))
-            a = extract_A(dec)
+            a = dec.a_const
             dec_b = green_solve(red, src, NormParams(alpha=alpha, lambda_gap=6.0))
             a_wide = extract_A(dec_b, annulus=(7.5, 30.0))
             table[(level, alpha)] = (dec, a, a_wide)
@@ -239,8 +234,6 @@ def family_reports(sphere4):
     alpha = 0.25 * s.spectrum.lambda_1
     src = s.action.min_orbit_vertex
     dec = green_solve(s.red, src, NormParams(alpha=alpha, lambda_gap=s.spectrum.lambda_1))
-    extract_A(dec)
-    green_l2_norm_sq(dec)
     reports = [family_lower_bound(build_test_family(dec, eps)) for eps in (1e-3, 1e-4, 1e-5)]
     return dec, reports
 

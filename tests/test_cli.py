@@ -229,8 +229,9 @@ _TETRAHEDRON = "OFF\n4 4 0\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n3 0 1 2\n3 0 3 1\n
         (["maximize", "--max-iters", "0"], "max_iters"),
         (["maximize", "--tol", "-1"], "tol"),
         (["bounds", "--n-quad", "0"], "n_quad"),
+        (["spectrum", "--rng-seed", "-1"], "rng_seed"),  # the dense path draws no random start
     ],
-    ids=["max-iters", "tol", "n-quad"],
+    ids=["max-iters", "tol", "n-quad", "rng-seed"],
 )
 def test_solver_setting_out_of_range_exits_2(tmp_path, capsys, argv, key):
     command, *flags = argv
@@ -240,6 +241,15 @@ def test_solver_setting_out_of_range_exits_2(tmp_path, capsys, argv, key):
     assert cli.main([command, level, "3", "--group", "antipodal", *extra, *flags,
                      "--out", str(tmp_path / "x.json")]) == 2
     assert f"config '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("periods", [["1", "-1"], ["0", "1"], ["1", "inf"]])
+def test_sharpness_torus_periods_out_of_range_exit_2(tmp_path, capsys, periods):
+    argv = ["sharpness", "--surface", "torus", "--periods", *periods, "--beta-grid", "22.6",
+            "--k-grid", "100", "1000", "--out", str(tmp_path / "s.csv")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "torus 'periods' must be positive and finite" in capsys.readouterr().err
 
 
 def test_group_json_with_non_integer_entries_exits_2(tmp_path, capsys):
@@ -586,7 +596,8 @@ def test_benchmark_traces_every_layer_function():
 
 def test_pipeline_loads_no_scipy_special_integrate_or_optimize(tmp_path):
     # these scipy subpackages cost start-up time and resident memory in every
-    # tm process and nothing in the pipeline needs them.  A subprocess,
+    # tm process and nothing in the pipeline needs them.  Nor does the Green
+    # module need the family or the Moser caps, which import it.  A subprocess,
     # because the test session itself has imported them.  Level 3, because on
     # a level-2 sphere the Green fit annulus reaches past the surface scale
     # and the stages after green would not run.
@@ -608,10 +619,14 @@ def test_pipeline_loads_no_scipy_special_integrate_or_optimize(tmp_path):
         "import json, sys\n"
         f"sys.path[:0] = [{str(root / 'src')!r}]\n"
         "names = ('scipy.special', 'scipy.integrate', 'scipy.optimize')\n"
+        "import tmsurf.constructions.green\n"
+        "after_green = [m for m in sys.modules if m.startswith('tmsurf.constructions.')]\n"
         "import tmsurf.cli\n"
         "after_import = [m for m in names if m in sys.modules]\n"
         f"rc = tmsurf.cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
-        "print(json.dumps([after_import, rc, [m for m in names if m in sys.modules]]))\n"
+        "after_run = [m for m in names if m in sys.modules]\n"
+        "print(json.dumps([sorted(after_green), after_import, rc, after_run]))\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == [[], 0, []]
+    green_only = ["tmsurf.constructions.green", "tmsurf.constructions.radial"]
+    assert json.loads(out.stdout.splitlines()[-1]) == [green_only, [], 0, []]

@@ -12,29 +12,29 @@ from scipy.integrate import quad
 from scipy.special import logsumexp as scipy_logsumexp
 
 from tmsurf._sums import logsumexp
-from tmsurf.constructions import (
-    FamilyError,
+from tmsurf.constructions import family as family_module
+from tmsurf.constructions import green as green_module
+from tmsurf.constructions import radial as radial_module
+from tmsurf.constructions.family import FamilyError, build_test_family
+from tmsurf.constructions.family import test_family_lower_bound as family_lower_bound
+from tmsurf.constructions.green import (
     GreenError,
-    MoserSequence,
-    build_test_family,
     extract_A,
     green_l2_norm_sq,
     green_solve,
     invariant_shifted_solver,
-    log_integral_exp,
-    min_orbit_separation,
-    moser_evaluate,
-    moser_semianalytic_log_value,
-    radial_integral,
-    radial_model,
     richardson_pair,
     upper_bound_formula,
     upper_bound_value,
 )
-from tmsurf.constructions import family as family_module
-from tmsurf.constructions import radial as radial_module
-from tmsurf.constructions import test_family_lower_bound as family_lower_bound
-from tmsurf.constructions.moser import cap_radius_limit
+from tmsurf.constructions.moser import (
+    MoserSequence,
+    cap_radius_limit,
+    min_orbit_separation,
+    moser_evaluate,
+    moser_semianalytic_log_value,
+)
+from tmsurf.constructions.radial import log_integral_exp, radial_integral, radial_model
 from tmsurf.discretization import (
     NormParams,
     assemble,
@@ -42,7 +42,7 @@ from tmsurf.discretization import (
     orbit_reduction,
     project_invariant_meanzero,
 )
-from tmsurf.geometry import MeshError, build_flat_torus_mesh
+from tmsurf.geometry import MeshError, build_flat_torus_mesh, mean_edge_length
 from tmsurf.maximizer import MaximizerError, ProblemSpec, normalized_competitor
 
 # ---------------------------------------------------------------- bubble
@@ -416,10 +416,24 @@ def test_torus_green_regular_constant(green_torus64):
 
 
 def test_torus_fit_annulus_guard(torus24):
-    # 24^2 spacing pushes the fit annulus past the injectivity scale
-    dec = green_solve(torus24.red, 0, NormParams(alpha=0.0, lambda_gap=4 * np.pi**2))
+    # 24^2 spacing pushes the fit annulus past the injectivity scale; the
+    # Green solve fits A before it returns, so the solve itself fails
     with pytest.raises(GreenError, match="annulus"):
-        extract_A(dec)
+        green_solve(torus24.red, 0, NormParams(alpha=0.0, lambda_gap=4 * np.pi**2))
+
+
+def test_green_solve_returns_a_complete_decomposition(green_sphere4_pair):
+    for dec in green_sphere4_pair:
+        h = mean_edge_length(dec.ops.mesh)
+        assert dec.a_annulus == (5.0 * h, 20.0 * h)
+        assert np.isfinite(dec.a_const) and 0.0 < dec.a_fit_residual < 1e-3
+        assert dec.l2_sq > 0.0
+        assert dec.bound == upper_bound_value(dec)
+        # a refit and a re-integration reproduce the stored fields bit for bit
+        fitted = (dec.a_const, dec.a_fit_residual, dec.a_annulus, dec.l2_sq)
+        assert extract_A(dec) == fitted[0]
+        assert green_l2_norm_sq(dec) == fitted[3]
+        assert (dec.a_const, dec.a_fit_residual, dec.a_annulus, dec.l2_sq) == fitted
 
 
 # ---------------------------------------------------------------- bound formulas
@@ -437,11 +451,9 @@ def test_upper_bound_formula_closed_form():
 
 def test_upper_bound_value_uses_fitted_constant(green_sphere4_pair):
     dec0, _ = green_sphere4_pair
-    extract_A(dec0)
-    bound = upper_bound_value(dec0)
     # the mesh volume, not the continuum one, keeps the sandwich consistent
     ref = upper_bound_formula(dec0.ops.mesh.total_area, dec0.ell, dec0.a_const)
-    assert bound.value == pytest.approx(ref.value, rel=1e-14)
+    assert dec0.bound.value == pytest.approx(ref.value, rel=1e-14)
 
 
 def test_richardson_pair_arithmetic():
@@ -545,6 +557,25 @@ def test_family_excess_tracks_green_norm(family_sweep):
         assert 1.0 < rep.tether_ratio < 3.0
     b_vals = np.array([rep.b_const for rep in reports])
     assert np.all(np.abs(b_vals - 1.0 / (8 * np.pi)) < 0.2 / (8 * np.pi))
+
+
+def test_family_reads_the_fitted_fields_without_refitting(sphere3, monkeypatch):
+    # green_solve fits A and |G|_2^2 and evaluates the bound once; the family
+    # and its lower bound only read them, through whatever module binding
+    s = sphere3
+    params = NormParams(alpha=1.5, lambda_gap=s.spectrum.lambda_1)
+    dec = green_solve(s.red, s.action.min_orbit_vertex, params)
+    calls = []
+    for name in ("extract_A", "green_l2_norm_sq", "upper_bound_value"):
+        def counting(*args, _name=name, _orig=getattr(green_module, name), **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        for module in (green_module, family_module):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    reports = [family_lower_bound(build_test_family(dec, eps)) for eps in (1e-3, 1e-4)]
+    assert calls == []
+    assert all(rep.bound == dec.bound for rep in reports)
 
 
 def test_family_eps_range_guard(family_sweep):

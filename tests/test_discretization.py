@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from tmsurf.constructions import invariant_shifted_solver
+from tmsurf.constructions.green import invariant_shifted_solver
 from tmsurf.discretization import (
     DiscretizationError,
     NormParams,

@@ -6,7 +6,7 @@ string or null.  `tm run` must exit 0 (the stage that reads the key did not
 run) or 2 (input error, no `results.json`); exit 1 would be a traceback and
 exit 3 a stage failure blamed on the numerics.  A numeric key of the sphere
 config set to NaN or +-Infinity, which `json` reads as floats, must exit 2:
-that config runs every stage, and so must a solver setting outside its range
+that config runs every stage, and so must a setting outside its range
 (a finite list of cases).  Every exit 2 names the offending key on stderr.
 Examples are derandomized, so every run checks the same configs.
 """
@@ -82,6 +82,9 @@ OUT_OF_RANGE = [
     (("maximize", "max_iters"), 0), (("maximize", "max_iters"), -3),
     (("maximize", "tol"), 0.0), (("maximize", "tol"), -1), (("maximize", "tol"), -1e-12),
     (("bounds", "n_quad"), 0), (("bounds", "n_quad"), -1),
+    (("rng_seed",), -1),
+    (("sharpness", "ell"), 0), (("sharpness", "ell"), -2),
+    (("sharpness", "r"), 0.0), (("sharpness", "r"), -0.05), (("sharpness", "r"), 3.2),
 ]
 
 
@@ -163,5 +166,5 @@ def test_non_finite_number_exits_2(off_dir, case):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_solver_setting_out_of_range_exits_2(off_dir, path, bad):
     cfg = _base("sphere", off_dir)
-    cfg[path[0]][path[1]] = bad
-    _assert_input_error(cfg, path[1], (path, bad))
+    functools.reduce(dict.get, path[:-1], cfg)[path[-1]] = bad
+    _assert_input_error(cfg, path[-1], (path, bad))

@@ -1,6 +1,7 @@
 """Meshes, exact group actions, geodesics and interchange formats."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -74,9 +75,11 @@ def test_dihedral_group_order():
     assert action.order == 4
 
 
-def test_unrepresentable_rotation_names_generator():
-    with pytest.raises(GroupError, match="2\\*pi/3"):
-        build_sphere_mesh(2, "cyclic(3)")
+def test_unbuilt_kind_names_itself_and_the_built_kinds():
+    kinds = r"trivial, antipodal, cyclic\(1\), cyclic\(2\), cyclic\(4\), dihedral\(1\), dihedral\(2\), dihedral\(4\)"
+    for kind in ("cyclic(3)", "cyclic(04)", "cyclic(0)", "shift(1,0)"):
+        with pytest.raises(GroupError, match=rf"kind '{re.escape(kind)}'; the sphere kinds are {kinds}$"):
+            build_sphere_mesh(2, kind)
 
 
 def test_unknown_group_kind():
@@ -376,6 +379,52 @@ def test_export_golden_bytes(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+
+# Leading 16 hex digits of the sha256 of each built-in sphere kind's mesh
+# (vertex then triangle bytes) and of its permutation table, per level.
+KIND_SHA256 = {
+    ("trivial", 0): ("02d31445f61d6df5", "700a4498438a801b"),
+    ("trivial", 1): ("e0a75d28159c17be", "9eb9d21600526db7"),
+    ("trivial", 2): ("6d1442a2a7114b2e", "2cac535a01116f43"),
+    ("trivial", 3): ("1098b34d47936e41", "ecc70a9941abf594"),
+    ("antipodal", 0): ("02d31445f61d6df5", "b93c503d8a0d169f"),
+    ("antipodal", 1): ("e0a75d28159c17be", "16a8e2fb3d3e6612"),
+    ("antipodal", 2): ("6d1442a2a7114b2e", "5911509bbf856ae4"),
+    ("antipodal", 3): ("1098b34d47936e41", "7689dd9bc15f939f"),
+    ("cyclic(1)", 0): ("29a91dfcf31d8868", "f190072c5052f4f4"),
+    ("cyclic(1)", 1): ("d20f092fee456330", "1a053915ce243538"),
+    ("cyclic(1)", 2): ("0caa58e954432f62", "73cb2b2808079f17"),
+    ("cyclic(1)", 3): ("400a4ce69e536ef5", "1ff5fb2e8e7c04a8"),
+    ("cyclic(2)", 0): ("29a91dfcf31d8868", "8102a951badb7452"),
+    ("cyclic(2)", 1): ("d20f092fee456330", "53554f120afa56a5"),
+    ("cyclic(2)", 2): ("0caa58e954432f62", "bf56e5c86f3f06a9"),
+    ("cyclic(2)", 3): ("400a4ce69e536ef5", "452ac39ce91a1b45"),
+    ("cyclic(4)", 0): ("29a91dfcf31d8868", "6870aa7ab265f058"),
+    ("cyclic(4)", 1): ("d20f092fee456330", "d3ba09c537a87be0"),
+    ("cyclic(4)", 2): ("0caa58e954432f62", "2eba536981ca7e84"),
+    ("cyclic(4)", 3): ("400a4ce69e536ef5", "fbd256e545bb84ff"),
+    ("dihedral(1)", 0): ("29a91dfcf31d8868", "892d008c82ee23b8"),
+    ("dihedral(1)", 1): ("d20f092fee456330", "6091ce65f50c238b"),
+    ("dihedral(1)", 2): ("0caa58e954432f62", "4a02eda57fd16ef1"),
+    ("dihedral(1)", 3): ("400a4ce69e536ef5", "5cbb068b62036035"),
+    ("dihedral(2)", 0): ("29a91dfcf31d8868", "8f8f2ffdce9a1119"),
+    ("dihedral(2)", 1): ("d20f092fee456330", "16dc7d99a3e0b8ff"),
+    ("dihedral(2)", 2): ("0caa58e954432f62", "f1bb8efee6ef788d"),
+    ("dihedral(2)", 3): ("400a4ce69e536ef5", "82a849f025d2caf7"),
+    ("dihedral(4)", 0): ("29a91dfcf31d8868", "feb3e0dada66d068"),
+    ("dihedral(4)", 1): ("d20f092fee456330", "fa3e69b49d9a6f4c"),
+    ("dihedral(4)", 2): ("0caa58e954432f62", "a1349abb9d9f3462"),
+    ("dihedral(4)", 3): ("400a4ce69e536ef5", "1126a0607eca5345"),
+}
+
+
+@pytest.mark.parametrize("kind, level", KIND_SHA256, ids=[f"{k}-{lv}" for k, lv in KIND_SHA256])
+def test_sphere_kind_golden_bytes(kind, level):
+    mesh, action = build_sphere_mesh(level, kind)
+    mesh_hash = hashlib.sha256(mesh.vertices.tobytes() + mesh.triangles.tobytes()).hexdigest()
+    perms_hash = hashlib.sha256(action.permutations.tobytes()).hexdigest()
+    assert (mesh_hash[:16], perms_hash[:16]) == KIND_SHA256[kind, level]
+
 def _messy_off(clean: str) -> bytes:
     """The same OFF with comment lines, trailing comments, tabs and CRLF endings.
 
@@ -417,7 +466,7 @@ def test_off_rejects_edge_shared_four_times(tmp_path):
 def test_vertex_permutations_match_row_lookup():
     """The sorted-row search gives what a per-vertex dictionary lookup gives."""
     mesh, _ = build_sphere_mesh(2, "dihedral(4)")
-    mats = geometry._sphere_generators("dihedral", 4)
+    mats = geometry._SPHERE_GROUPS["dihedral(4)"][1]
     perms = geometry._vertex_permutations(mesh.vertices, mats, "dihedral(4)")
     table = {row.tobytes(): i for i, row in enumerate(mesh.vertices)}
     assert len(perms) == len(mats) == 2

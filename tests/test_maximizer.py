@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tmsurf import discretization
-from tmsurf.constructions import green_solve
+from tmsurf.constructions.green import green_solve
 from tmsurf.discretization import (
     NormParams,
     exp_functional,
