@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -309,14 +310,14 @@ _MIRROR_XZ = np.diag([1, -1, 1]).astype(np.int64)
 # the group exactly: the icosahedron is centrally symmetric, and the octahedron
 # has its poles on the z axis.
 _SPHERE_GROUPS = {
-    "trivial": (_icosahedron, []),
-    "antipodal": (_icosahedron, [-np.eye(3, dtype=np.int64)]),
-    "cyclic(1)": (_octahedron, []),
-    "cyclic(2)": (_octahedron, [_ROT_Z2]),
-    "cyclic(4)": (_octahedron, [_ROT_Z4]),
-    "dihedral(1)": (_octahedron, [_MIRROR_XZ]),
-    "dihedral(2)": (_octahedron, [_ROT_Z2, _MIRROR_XZ]),
-    "dihedral(4)": (_octahedron, [_ROT_Z4, _MIRROR_XZ]),
+    "trivial": (_icosahedron, ()),
+    "antipodal": (_icosahedron, (-np.eye(3, dtype=np.int64),)),
+    "cyclic(1)": (_octahedron, ()),
+    "cyclic(2)": (_octahedron, (_ROT_Z2,)),
+    "cyclic(4)": (_octahedron, (_ROT_Z4,)),
+    "dihedral(1)": (_octahedron, (_MIRROR_XZ,)),
+    "dihedral(2)": (_octahedron, (_ROT_Z2, _MIRROR_XZ)),
+    "dihedral(4)": (_octahedron, (_ROT_Z4, _MIRROR_XZ)),
 }
 SPHERE_GROUP_KINDS = tuple(_SPHERE_GROUPS)
 
@@ -343,7 +344,7 @@ def _is_permutation(row: np.ndarray) -> bool:
     return n == 0 or bool(row.min() >= 0 and row.max() < n and np.bincount(row, minlength=n).max() == 1)
 
 
-def _vertex_permutations(verts: np.ndarray, mats: list[np.ndarray], name: str) -> np.ndarray:
+def _vertex_permutations(verts: np.ndarray, mats: Sequence[np.ndarray], name: str) -> np.ndarray:
     """Index permutation of each matrix, matching image rows to vertices bitwise."""
     keys = _row_bytes(verts)
     order = np.argsort(keys, kind="stable")
