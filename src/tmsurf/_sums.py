@@ -15,6 +15,11 @@ import numpy as np
 
 __all__ = ["sorted_sum", "ordered3", "sorted_sum3", "segment_sorted_sum", "logsumexp"]
 
+# ``segment_sorted_sum`` sorts the summands of this many index ranges one
+# range at a time, so its transient is about this fraction of one sort of all
+# (at most 256: a summand's range is held in a uint8).
+_SEGMENT_BLOCKS = 8
+
 
 def sorted_sum(values):
     """Sum of an array, invariant under any permutation of the input."""
@@ -54,25 +59,33 @@ def sorted_sum3(a, b, c):
 def segment_sorted_sum(index, values, size):
     """Sum ``values`` into ``size`` bins given by ``index``, value-sorted per bin.
 
-    Equivalent to ``np.add.at(out, index, values)`` except the accumulation
-    order inside each bin is ascending by value, so bins holding the same
-    multiset of summands produce bitwise-equal totals.
+    Equivalent to ``np.add.at(out, index, values)`` for indices in
+    ``range(size)``, except the accumulation order inside each bin is
+    ascending by value, so bins holding the same multiset of summands
+    produce bitwise-equal totals.  The bins are summed
+    in ``_SEGMENT_BLOCKS`` ranges of consecutive indices, one sort per range:
+    a bin's sum does not depend on the other bins, and each range keeps its
+    summands in input order, so ties (-0.0 and 0.0 too) sort as in one sort
+    of all of them.
     """
     index = np.asarray(index).ravel()
     values = np.asarray(values, dtype=float).ravel()
     out = np.zeros(size, dtype=float)
     if values.size == 0:
         return out
-    order = np.lexsort((values, index))
-    val = values[order]
-    # gathered into ``order`` itself, one array of the input's size less at
-    # the peak.  numpy documents no aliasing of ``out`` with the indices; this
-    # relies on its take loop reading order[j] before writing slot j, which
-    # test_discretization's GOLDEN_OPERATORS hashes and
-    # test_mesh_bitwise::test_operators_share_one_canonical_pattern guard.
-    idx = np.take(index, order, out=order, mode="clip")
-    starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
-    out[idx[starts]] = np.add.reduceat(val, starts)
+    block = np.empty(index.size, dtype=np.uint8)
+    np.floor_divide(index, -(-size // _SEGMENT_BLOCKS), out=block, casting="unsafe")
+    for k in range(_SEGMENT_BLOCKS):
+        in_block = block == k
+        idx, val = index[in_block], values[in_block]
+        del in_block
+        if idx.size == 0:
+            continue
+        order = np.lexsort((val, idx))
+        idx, val = idx[order], val[order]
+        del order
+        starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+        out[idx[starts]] = np.add.reduceat(val, starts)
     return out
 
 

@@ -316,8 +316,28 @@ def _stage_mesh(ctx: Context) -> None:
         ctx.export("group.json", lambda path: write_group_json(action, path))
 
 
+def _trim_heap() -> None:
+    """Give the C heap's free pages back to the system; a no-op without glibc.
+
+    glibc returns freed heap memory by itself only from the top of the heap,
+    and arrays that outlive the orbit reduction can lie above the vertex K
+    and M it leaves behind.  The factorizations take fresh mapped pages for
+    most of their memory, so without the trim the freed vertex operators
+    can stay resident under both.
+    """
+    import ctypes  # only a run that assembles pays for the import
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def _stage_spectrum(ctx: Context) -> None:
-    ctx.red = orbit_reduction(assemble(ctx.mesh), ctx.action)
+    ctx.red = orbit_reduction(assemble(ctx.mesh), ctx.action)  # the vertex K and M die here
+    _trim_heap()
     count = _number(ctx.cfg.get("eigen_count", 8), "eigen_count", int)
     if not 1 <= count < ctx.red.n:
         raise ConfigError(f"config 'eigen_count' {count} outside 1..{ctx.red.n - 1}, the invariant modes")

@@ -113,7 +113,7 @@ def build_test_family(
     if not 0.0 < eps < EPS_MAX:
         raise FamilyError(f"eps={eps} outside (0, {EPS_MAX}); the profile needs R = -log eps > 1")
     ell, alpha, a_const = dec.ell, dec.alpha, dec.a_const
-    mesh, model = dec.ops.mesh, dec.model
+    mesh, model = dec.mesh, dec.model
     vol = mesh.total_area
     R = -np.log(eps)
     r_eps = R * eps
@@ -227,12 +227,12 @@ def test_family_lower_bound(fam: TestFunctionFamily, n_quad: int = 400) -> Lower
     the same mesh volume, so the margin isolates the 1/c^2 excess.
     """
     dec = fam.dec
-    ell, model, ops = dec.ell, dec.model, dec.ops
+    ell, model, areas = dec.ell, dec.model, dec.mesh.vertex_areas
     gamma = 4.0 * np.pi * ell
     c = fam.c
     mbar = fam.mbar
 
-    pole_areas = ops.lumped[dec.orbit]
+    pole_areas = areas[dec.orbit]
     if np.any(pole_areas != pole_areas[0]):
         raise FamilyError("orbit cells are not exactly congruent; group action is inexact")
     rho_cell = model.ball_radius(float(pole_areas[0]))
@@ -255,11 +255,11 @@ def test_family_lower_bound(fam: TestFunctionFamily, n_quad: int = 400) -> Lower
             radial_integral(lin_tail, fam.r_eps, rho_cell, model, n=n_quad)
         )
 
-    mask = np.ones(ops.n, dtype=bool)
+    mask = np.ones(len(areas), dtype=bool)
     mask[dec.orbit] = False
     phi = fam.values[mask]
     outer_value = float(
-        sorted_sum(ops.lumped[mask]) + gamma * sorted_sum(ops.lumped[mask] * phi * phi)
+        sorted_sum(areas[mask]) + gamma * sorted_sum(areas[mask] * phi * phi)
     )
 
     value = outer_value + ell * (inner_value + annulus_value)

@@ -17,8 +17,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .._sums import sorted_sum
-from ..discretization import FemOperators, NormParams, OrbitReduction, remove_mass_mean
-from ..geometry import GroupAction, axis_offset, geodesic_distance, mean_edge_length
+from ..discretization import NormParams, OrbitReduction
+from ..geometry import GroupAction, SurfaceMesh, axis_offset, geodesic_distance, mean_edge_length
 from .radial import RadialModel, radial_integral, radial_model
 
 __all__ = [
@@ -95,7 +95,7 @@ class GreenDecomposition:
     residual: float
     dist_source: np.ndarray  # geodesic distance from the source vertex
     dist_orbit: np.ndarray  # min geodesic distance over the source orbit
-    ops: FemOperators = field(repr=False)
+    mesh: SurfaceMesh = field(repr=False)
     action: GroupAction = field(repr=False)
     a_const: float = field(init=False)
     a_fit_residual: float = field(init=False)
@@ -105,7 +105,7 @@ class GreenDecomposition:
 
     @property
     def model(self) -> RadialModel:
-        return radial_model(self.ops.mesh)
+        return radial_model(self.mesh)
 
     def log_singular_model(self, rho):
         """-(1/2*pi*ell) log(rho) + A, the radial profile with psi~ removed."""
@@ -116,10 +116,13 @@ def green_solve(red: OrbitReduction, source: int, params: NormParams) -> GreenDe
     """Solve the orbit-source Green problem with the factorization ``red`` holds.
 
     Then fit the regular constant A, integrate |G|_2^2 and evaluate the upper
-    bound, so the returned decomposition is complete.
+    bound, so the returned decomposition is complete.  The residual is taken
+    on orbits: the vertex residual of the invariant G is invariant, its orbit
+    sums are r = K_r w - alpha M_r w - S^T b, and its 2-norm is that of
+    r / sqrt(orbit sizes).
     """
-    ops, action = red.ops, red.action
-    if not 0 <= source < ops.n:
+    mesh, action = red.mesh, red.action
+    if not 0 <= source < mesh.n_vertices:
         raise GreenError(f"source vertex {source} out of range")
     orbit = action.orbit_of(source)
     ell = len(orbit)
@@ -129,14 +132,18 @@ def green_solve(red: OrbitReduction, source: int, params: NormParams) -> GreenDe
             f"{action.min_orbit_size}); the sharp-constant statements use minimal orbits",
             stacklevel=2,
         )
-    b = -ops.lumped / ops.mesh.total_area
+    b = -mesh.vertex_areas / mesh.total_area
     b[orbit] += 1.0 / ell
-    g = remove_mass_mean(red.expand(red.shifted_solver(params.alpha)(red.reduce(b))), ops)
-    res = np.linalg.norm(ops.stiffness @ g - params.alpha * (ops.mass @ g) - b)
+    b_red = red.reduce(b)
+    g = red.expand(red.shifted_solver(params.alpha)(b_red))
+    g -= float(np.dot(mesh.vertex_areas, g) / mesh.total_area)  # the lumped-mass mean
+    w = g[red.reps]
+    r = red.stiffness @ w - params.alpha * (red.mass @ w) - b_red
+    res = np.linalg.norm(r / np.sqrt(action.orbit_sizes))
     if res > _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b))):
         raise GreenError(f"Green solve residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e}")
-    del b
-    fields = [geodesic_distance(ops.mesh, int(p)) for p in orbit]
+    del b, b_red, w, r
+    fields = [geodesic_distance(mesh, int(p)) for p in orbit]
     dist_orbit = np.min(np.stack(fields), axis=0)
     dist_source = fields[int(np.flatnonzero(orbit == source)[0])]
     del fields  # the fit below keeps only the source row and the orbit minimum
@@ -149,7 +156,7 @@ def green_solve(red: OrbitReduction, source: int, params: NormParams) -> GreenDe
         residual=float(res),
         dist_source=dist_source,
         dist_orbit=dist_orbit,
-        ops=ops,
+        mesh=mesh,
         action=action,
     )
     extract_A(dec)
@@ -169,7 +176,7 @@ def extract_A(dec: GreenDecomposition, annulus: tuple[float, float] = (5.0, 20.0
     All columns vanish at the source, so the constant is the extrapolated
     value there.
     """
-    mesh = dec.ops.mesh
+    mesh = dec.mesh
     h = mean_edge_length(mesh)
     lo, hi = annulus[0] * h, annulus[1] * h
     if hi >= radial_model(mesh).max_rho:
@@ -209,17 +216,17 @@ def green_l2_norm_sq(dec: GreenDecomposition) -> float:
     on which the log-singular radial profile is integrated exactly. The psi~
     contribution inside the disks is O(rho_ex^2 log rho_ex) and dropped.
     """
-    mesh = dec.ops.mesh
+    mesh = dec.mesh
     tris = mesh.triangles
     mask = np.zeros(mesh.n_vertices, dtype=bool)
     mask[dec.orbit] = True
     touching = mask[tris].any(axis=1)
     excl = np.zeros(mesh.n_vertices, dtype=bool)
     excl[tris[touching]] = True
-    area_excl = sorted_sum(dec.ops.lumped[excl])
+    area_excl = sorted_sum(mesh.vertex_areas[excl])
     model = dec.model
     rho_ex = model.ball_radius(area_excl / dec.ell)
-    mesh_part = sorted_sum(dec.ops.lumped[~excl] * dec.values[~excl] ** 2)
+    mesh_part = sorted_sum(mesh.vertex_areas[~excl] * dec.values[~excl] ** 2)
     disk_part = dec.ell * radial_integral(
         lambda rho: dec.log_singular_model(rho) ** 2,
         rho_ex * 1e-12,
@@ -240,4 +247,4 @@ def upper_bound_formula(vol: float, ell: int, a_const: float) -> UpperBound:
 
 
 def upper_bound_value(dec: GreenDecomposition) -> UpperBound:
-    return upper_bound_formula(dec.ops.mesh.total_area, dec.ell, dec.a_const)
+    return upper_bound_formula(dec.mesh.total_area, dec.ell, dec.a_const)

@@ -178,16 +178,18 @@ class OrbitReduction(FemOperators):
 
     S^T K S, S^T M S and the orbit areas S^T a take the places of K, M and a,
     so ``quadratic_form_sq``, ``norm_one_alpha``, ``exp_functional`` and
-    ``remove_mass_mean`` take w in place of u.  It keeps the vertex operators
-    ``ops`` and the ``action`` it was reduced from, the nested-dissection
-    ``order`` of the orbit graph that ``orbit_reduction`` computes once, and at
-    most one factorization of K_r - alpha M_r in that order (see
-    ``shifted_solver``), which the spectrum, Green and maximizer layers share.
+    ``remove_mass_mean`` take w in place of u.  It keeps the ``action`` it was
+    reduced from, the nested-dissection ``order`` of the orbit graph that
+    ``orbit_reduction`` computes once, and at most one factorization of
+    K_r - alpha M_r in that order (see ``shifted_solver``), which the
+    spectrum, Green and maximizer layers share.  It keeps no vertex operator:
+    a vertex quantity comes from ``mesh`` (the lumped areas are
+    ``mesh.vertex_areas``) or from an orbit one, since for invariant u = S w,
+    u.K u = w.K_r w and S^T K u = K_r w.
     """
 
     S: sp.csr_matrix  # (n, n_orbits) orbit indicator
     reps: np.ndarray  # first vertex of each orbit; u[reps] is exact for invariant u
-    ops: FemOperators
     action: GroupAction
     order: np.ndarray  # fill-reducing permutation of the orbits, see _nested_dissection
     held: tuple | None = None  # (alpha, solve) of the one factorization kept
@@ -219,7 +221,11 @@ class OrbitReduction(FemOperators):
 
 
 def orbit_reduction(ops: FemOperators, action: GroupAction) -> OrbitReduction:
-    """Reduced operators of ``ops`` on the orbits of ``action``; build it once per run."""
+    """Reduced operators of ``ops`` on the orbits of ``action``; build it once per run.
+
+    The result holds no reference to ``ops``, so the vertex K and M are freed
+    once the caller drops them.
+    """
     n = ops.n
     n_orb = action.n_orbits
     S = sp.csr_matrix((np.ones(n), (np.arange(n), action.orbit_index)), shape=(n, n_orb))
@@ -227,7 +233,7 @@ def orbit_reduction(ops: FemOperators, action: GroupAction) -> OrbitReduction:
     M_red = (S.T @ ops.mass @ S).tocsr()
     reps = np.unique(action.orbit_index, return_index=True)[1]
     return OrbitReduction(mesh=ops.mesh, stiffness=K_red, mass=M_red, lumped=S.T @ ops.lumped,
-                          S=S, reps=reps, ops=ops, action=action,
+                          S=S, reps=reps, action=action,
                           order=_nested_dissection(K_red + M_red))
 
 
@@ -283,8 +289,8 @@ def project_invariant_meanzero(u: np.ndarray, red: OrbitReduction) -> np.ndarray
     it is the orbit sum over the orbit size, one value per orbit.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (red.ops.n,):
-        raise DiscretizationError(f"expected vector of length {red.ops.n}")
+    if u.shape != (red.mesh.n_vertices,):
+        raise DiscretizationError(f"expected vector of length {red.mesh.n_vertices}")
     return remove_mass_mean(red.reduce(u) / red.action.orbit_sizes, red)
 
 

@@ -650,8 +650,8 @@ def build_flat_torus_mesh(
     if nx < 3 or ny < 3:
         raise MeshError(f"grid {nx}x{ny} too small to triangulate a torus")
     a, b = float(periods[0]), float(periods[1])
-    if not (a > 0 and b > 0):
-        raise MeshError(f"invalid periods {periods}")
+    if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+        raise MeshError(f"torus 'periods' must be positive and finite, got {[a, b]}")
     i, j = np.divmod(np.arange(nx * ny), ny)  # row-major: vertex v at cell divmod(v, ny)
     verts = np.stack([i * (a / nx), j * (b / ny)], axis=1)
     idx = lambda i, j: (i % nx) * ny + (j % ny)  # noqa: E731

@@ -49,7 +49,6 @@ from .constructions.moser import (
     moser_semianalytic_log_value,
 )
 from .discretization import (
-    FemOperators,
     NormParams,
     OrbitReduction,
     cotangent_weights,
@@ -122,10 +121,6 @@ class ProblemSpec:
         self.orbit_basis = self.spectrum.eigenvectors[:, :m]
 
     @property
-    def ops(self) -> FemOperators:
-        return self.red.ops
-
-    @property
     def action(self) -> GroupAction:
         return self.red.action
 
@@ -189,22 +184,22 @@ def normalized_competitor(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 
 
 def _seed_orbits(spec: ProblemSpec, seed, rng_seed: int, solve) -> np.ndarray:
-    ops, action = spec.ops, spec.action
+    mesh, action = spec.red.mesh, spec.action
     if isinstance(seed, np.ndarray):
         return normalized_competitor(seed, spec)
     if seed == "random":
         rng = np.random.default_rng(rng_seed)
-        return normalized_competitor(rng.standard_normal(ops.n), spec)
+        return normalized_competitor(rng.standard_normal(mesh.n_vertices), spec)
     center = action.min_orbit_vertex
     if seed == "moser":
-        dist = geodesic_distance(ops.mesh, center)
-        r = 0.8 * cap_radius_limit(ops.mesh, action, center, dist)
-        rep = moser_evaluate(MoserSequence(center, r, 10, spec.ell), ops.mesh, action, dist)
+        dist = geodesic_distance(mesh, center)
+        r = 0.8 * cap_radius_limit(mesh, action, center, dist)
+        rep = moser_evaluate(MoserSequence(center, r, 10, spec.ell), mesh, action, dist)
         return normalized_competitor(rep.values, spec)
     if seed == "symmetric":
         # smooth non-concentrated invariant profile: shifted solve against the
         # lumped orbit indicator (a Green-type function, no plateau)
-        b = -spec.red.lumped / ops.mesh.total_area
+        b = -spec.red.lumped / mesh.total_area
         b[action.orbit_index[center]] += 1.0
         return _normalize(spec, _constrain(spec, solve(b)))
     raise MaximizerError(f"unknown seed {seed!r}; use 'moser', 'symmetric', 'random', or an array")
@@ -416,7 +411,7 @@ class BlowupDiagnostics:
     peak_share: float  # the peak orbit's term of the lumped sum J, over the sum
     radii: np.ndarray
     local_energies: np.ndarray  # (len(orbit), len(radii)) ball Dirichlet energies
-    energy_budget: float  # u.K u = 1 + alpha u.M u
+    energy_budget: float  # u.K u = w.K_r w = 1 + alpha u.M u
     energy_fractions: np.ndarray  # per radius: sum of orbit-ball energies / budget
 
 
@@ -429,7 +424,7 @@ def blowup_diagnostics(state: MaximizerState, radii) -> BlowupDiagnostics:
     balls report bitwise-equal numbers.
     """
     spec = state.spec
-    red, mesh, action = spec.red, spec.ops.mesh, spec.action
+    red, mesh, action = spec.red, spec.red.mesh, spec.action
     t = spec.beta * state.w * state.w
     terms = red.lumped * np.exp(t - t.max())
     peak_share = float(terms[action.orbit_index[state.x_eps]] / sorted_sum(terms))
@@ -445,7 +440,7 @@ def blowup_diagnostics(state: MaximizerState, radii) -> BlowupDiagnostics:
         tri_dist = dist[tri].max(axis=1)
         for j, r in enumerate(radii):
             local[i, j] = sorted_sum(e_tri[tri_dist <= r])
-    budget = float(u @ (spec.ops.stiffness @ u))
+    budget = float(state.w @ (red.stiffness @ state.w))  # u.K u for u = S w
     return BlowupDiagnostics(
         c_eps=state.c_eps,
         orbit=orbit,

@@ -31,20 +31,24 @@ from tmsurf.spectrum import InvariantSpectrum, invariant_spectrum
 
 @dataclass(eq=False)
 class Setup:
+    """A mesh, its group, its vertex operators and its orbit space.
+
+    ``OrbitReduction`` keeps no vertex operator, so the fixture keeps its own
+    ``ops`` for the checks that test vertex vectors against K and M.
+    """
+
     mesh: SurfaceMesh
     action: GroupAction
+    ops: FemOperators
     red: OrbitReduction
     spectrum: InvariantSpectrum
-
-    @property
-    def ops(self) -> FemOperators:
-        return self.red.ops
 
 
 def _setup(builder, *args, count=8, **kwargs) -> Setup:
     mesh, action = builder(*args, **kwargs)
-    red = orbit_reduction(assemble(mesh), action)
-    return Setup(mesh, action, red, invariant_spectrum(red, count=count))
+    ops = assemble(mesh)
+    red = orbit_reduction(ops, action)
+    return Setup(mesh, action, ops, red, invariant_spectrum(red, count=count))
 
 
 @dataclass(frozen=True)

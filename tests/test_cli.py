@@ -7,6 +7,7 @@ paths stay visible to the test runner.
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -592,6 +593,26 @@ def test_benchmark_traces_every_layer_function():
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    # the traced path end to end on a level-3 sphere, through the functions
+    # perfbench/child.py wraps: the gate passes, spans nest and the metrics
+    # are those BENCHMARK.json declares.  It runs from a copy of perfbench/
+    # and src/ (child.py refuses a tmsurf that resolves outside its own
+    # tree) with BENCHMARK.json linked in, so its work directory lies under
+    # tmp_path and nothing is written into the checkout.
+    root = Path(__file__).resolve().parent.parent
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    for script in (root / "perfbench").glob("*.py"):
+        shutil.copy(script, bench / script.name)
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "BENCHMARK.json").symlink_to(root / "BENCHMARK.json")
+    done = subprocess.run([sys.executable, str(bench / "selftest.py")], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "selftest: ok"
 
 
 def test_pipeline_loads_no_scipy_special_integrate_or_optimize(tmp_path):

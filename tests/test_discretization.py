@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ def test_assembly_transient_memory():
         for part in (matrix.data, matrix.indices, matrix.indptr)
     )
     assert peak <= 5 * returned, peak / returned
+
+
+def test_orbit_reduction_frees_the_vertex_operators():
+    # the orbit space keeps K_r, M_r and the orbit areas, not the vertex K and M
+    mesh, action = build_sphere_mesh(3, "antipodal")
+    ops = assemble(mesh)
+    stiffness, mass = weakref.ref(ops.stiffness), weakref.ref(ops.mass)
+    red = orbit_reduction(ops, action)
+    del ops
+    assert stiffness() is None and mass() is None
+    assert red.stiffness.shape == red.mass.shape == (action.n_orbits, action.n_orbits)
 
 
 @pytest.mark.parametrize("surface, max_ratio", [("sphere5", 1.0), ("torus128", 0.7)])

@@ -7,8 +7,9 @@ run) or 2 (input error, no `results.json`); exit 1 would be a traceback and
 exit 3 a stage failure blamed on the numerics.  A numeric key of the sphere
 config set to NaN or +-Infinity, which `json` reads as floats, must exit 2:
 that config runs every stage, and so must a setting outside its range
-(a finite list of cases).  Every exit 2 names the offending key on stderr.
-Examples are derandomized, so every run checks the same configs.
+(a finite list of cases, non-positive torus periods among them).  Every
+exit 2 names the offending key on stderr.  Examples are derandomized, so
+every run checks the same configs.
 """
 
 import contextlib
@@ -79,13 +80,15 @@ NUMERIC_KEYS = [
 ]
 NUMERIC_CASES = [(path, [bad] if path[-1] in LISTS else bad) for path in NUMERIC_KEYS for bad in NON_FINITE]
 OUT_OF_RANGE = [
-    (("maximize", "max_iters"), 0), (("maximize", "max_iters"), -3),
-    (("maximize", "tol"), 0.0), (("maximize", "tol"), -1), (("maximize", "tol"), -1e-12),
-    (("bounds", "n_quad"), 0), (("bounds", "n_quad"), -1),
-    (("rng_seed",), -1),
-    (("sharpness", "ell"), 0), (("sharpness", "ell"), -2),
-    (("sharpness", "r"), 0.0), (("sharpness", "r"), -0.05), (("sharpness", "r"), 3.2),
-]
+    ("sphere", path, bad) for path, bad in [
+        (("maximize", "max_iters"), 0), (("maximize", "max_iters"), -3),
+        (("maximize", "tol"), 0.0), (("maximize", "tol"), -1), (("maximize", "tol"), -1e-12),
+        (("bounds", "n_quad"), 0), (("bounds", "n_quad"), -1),
+        (("rng_seed",), -1),
+        (("sharpness", "ell"), 0), (("sharpness", "ell"), -2),
+        (("sharpness", "r"), 0.0), (("sharpness", "r"), -0.05), (("sharpness", "r"), 3.2),
+    ]
+] + [("torus", ("surface", "periods"), bad) for bad in ([1.0, -1.0], [1.0, 0.0])]
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +165,9 @@ def test_non_finite_number_exits_2(off_dir, case):
     _assert_input_error(cfg, path[-1], (path, bad))
 
 
-@pytest.mark.parametrize("path, bad", OUT_OF_RANGE, ids=[f"{p[-1]}={b}" for p, b in OUT_OF_RANGE])
+@pytest.mark.parametrize("name, path, bad", OUT_OF_RANGE, ids=[f"{p[-1]}={b}" for _, p, b in OUT_OF_RANGE])
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_solver_setting_out_of_range_exits_2(off_dir, path, bad):
-    cfg = _base("sphere", off_dir)
+def test_solver_setting_out_of_range_exits_2(off_dir, name, path, bad):
+    cfg = _base(name, off_dir)
     functools.reduce(dict.get, path[:-1], cfg)[path[-1]] = bad
     _assert_input_error(cfg, path[-1], (path, bad))

@@ -65,7 +65,7 @@ GOLDEN = {
     "sphere/manifest.json": "2b13acf21a1a900252b1e3029b434f79c7ae5a87996207b66c37f2678cad160a",
     "sphere/margins.csv": "f74d3e3c56d70ad71a8e81a8f71102e475e0cea55e56c4b23de9b54c72a803e2",
     "sphere/mesh.off": "9e6d5eca2889ffb8e4dedc4ac65c57d749e90cafcd197729bb5f4c38e2754b9a",
-    "sphere/results.json": "842f26530e7fdbd3b4644ad4559d36631780a7106b54f5687e4bcf34635d29fa",
+    "sphere/results.json": "54a8b61729b7856d4f39d0176b42c48dc4efa68e7aeb6cebbc949ff24f4ec15a",
     "sphere/state.json": "dc2e959ff28540e71ccd32a8160d234c5878e6e1eb3e604e8e81e77f47190d78",
     "export/config.json": "4a308a0832c656beb2eff9f694dcf58dbef941aefa0be1994aa7b6375d4c0766",
     "export/group.json": "d0fd0e3fe2b5bfb5e051741144b854b4ed34855f02ac02496916b2dae83eee63",
@@ -74,7 +74,7 @@ GOLDEN = {
     "export/results.json": "fd0649e6aeaf0d28665022fbf834d1cc1fe2d7a7069455481606f80f7b5b3346",
     "import/config.json": "db5641b2f60fcbd4c784a2c0e4fc2a88591e9cb53c0b5f351f46d8aaa422ebc7",
     "import/manifest.json": "6b96c77ae717f963b73d4a456cb002a305f6f540329b9379d476ebd100704b26",
-    "import/results.json": "374ad39ffba6f21633ba6c9d35d6dd11f9f5f1997eeae4940edba772e83a7aad",
+    "import/results.json": "2209e3ae057944c528d5a2315d86007cb5ca1a4a17db0ccc8205119efd80f1ee",
 }
 
 

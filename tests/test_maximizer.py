@@ -278,10 +278,10 @@ def test_second_level_multipliers(sphere3):
     assert np.max(np.abs(overlap)) < 1e-10
 
 
-def _vertex_reference(state):
+def _vertex_reference(state, ops):
     """lambda, mu, gammas, the functional and the norm of state.u, on vertex vectors."""
     spec = state.spec
-    ops, u = spec.red.ops, state.u
+    u = state.u
     basis = spec.red.expand(spec.orbit_basis)
     t = spec.beta * u * u
     shift = float(t.max())
@@ -309,7 +309,7 @@ def test_state_matches_vertex_reference(request, setup, level):
     spec = _spec(s, epsilon_sub=2 * np.pi, level=level)
     state = solve_subcritical(spec, seed="moser")
     assert state.converged
-    ref = _vertex_reference(state)
+    ref = _vertex_reference(state, s.ops)
     for name in ("lambda_eps", "mu_eps", "value", "log_value"):
         assert getattr(state, name) == pytest.approx(ref[name], rel=1e-13), name
     w = state.w

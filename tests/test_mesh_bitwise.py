@@ -4,7 +4,8 @@ Edge lengths, areas, Dirichlet energies, sphere distances and vertex norms
 are summed by a min/max network, torus offsets are read off the row-major
 vertex numbering, K and M share one CSR pattern, the mass diagonal is half
 the vertex areas, and group.json is written from byte blocks; each must give
-exactly the bits of the implementations kept in conftest.
+exactly the bits of the implementations kept in conftest.  Segment sums,
+sorted one range of bins at a time, must give the bits of one sort per bin.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmsurf import cli, geometry
-from tmsurf._sums import ordered3, sorted_sum3
+from tmsurf._sums import _SEGMENT_BLOCKS, ordered3, segment_sorted_sum, sorted_sum3
 from tmsurf.discretization import assemble
 from tmsurf.geometry import (
     GroupAction,
@@ -214,6 +215,40 @@ def test_sorted_sum3_matches_a_row_sort(triples):
         assert _bits_equal(sorted_sum3(rows[:, 0], rows[:, 1], rows[:, 2]), want)
     lo, mid, hi = ordered3(rows[:, 0], rows[:, 1], rows[:, 2])
     assert np.array_equal(np.stack([lo, mid, hi], axis=1), np.sort(rows, axis=1))
+
+
+def _per_bin_sorted_sum(index, values, size):
+    """Each bin's summands in input order, sorted by ``sorted``, summed as one segment.
+
+    ``np.add.reduceat`` starts a segment at its first summand and adds the
+    rest pairwise, which ``np.add.reduce`` (it starts at 0) does not.
+    """
+    out = np.zeros(size)
+    for b in range(size):
+        summands = sorted(values[index == b].tolist())
+        if summands:
+            out[b] = np.add.reduceat(np.array(summands), [0])[0]
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 5, 8, 9, 64, 1001])
+def test_segment_sorted_sum_matches_a_per_bin_sort(size):
+    # ties, -0.0 beside 0.0 (a stable sort keeps their input order), empty
+    # bins, a bin of 300 summands, and the bins either side of every range edge
+    rng = np.random.default_rng(size)
+    width = -(-size // _SEGMENT_BLOCKS)
+    edges = np.arange(width, size, width)
+    occupied = np.union1d(np.flatnonzero(rng.random(size) < 0.6), np.r_[edges - 1, edges])
+    index = np.r_[rng.choice(occupied, 6 * size), edges - 1, edges, np.full(300, size - 1)]
+    pool = np.array([-0.0, 0.0, 1.0, -1.0, 0.1, 0.3, 1e16, -1e16, 5e-324])
+    values = np.where(rng.random(len(index)) < 0.7, rng.choice(pool, len(index)),
+                      rng.standard_normal(len(index)))
+    want = _per_bin_sorted_sum(index, values, size)
+    assert _bits_equal(segment_sorted_sum(index, values, size), want)
+    assert np.all(want[np.setdiff1d(np.arange(size), index)] == 0.0)
+    # a 2-D index, as the assembly passes it, sums like its ravel
+    assert _bits_equal(segment_sorted_sum(index[:6].reshape(2, 3), values[:6], size),
+                       _per_bin_sorted_sum(index[:6], values[:6], size))
 
 
 def test_sorted_sum3_of_mixed_zeros_is_positive_zero():
