@@ -24,7 +24,7 @@ from . import __version__
 from .constructions.family import EPS_MAX, build_test_family, test_family_lower_bound
 from .constructions.green import GreenDecomposition, green_solve, richardson_pair
 from .constructions.radial import radial_model, surface_model
-from .discretization import NormParams, OrbitReduction, assemble, orbit_reduction
+from .discretization import NormParams, OrbitReduction, _trim_heap, assemble, orbit_reduction
 from .geometry import (
     SPHERE_GROUP_KINDS,
     GroupAction,
@@ -316,32 +316,15 @@ def _stage_mesh(ctx: Context) -> None:
         ctx.export("group.json", lambda path: write_group_json(action, path))
 
 
-def _trim_heap() -> None:
-    """Give the C heap's free pages back to the system; a no-op without glibc.
-
-    glibc returns freed heap memory by itself only from the top of the heap,
-    and arrays that outlive the orbit reduction can lie above the vertex K
-    and M it leaves behind.  The factorizations take fresh mapped pages for
-    most of their memory, so without the trim the freed vertex operators
-    can stay resident under both.
-    """
-    import ctypes  # only a run that assembles pays for the import
-
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    trim(0)
-
-
 def _stage_spectrum(ctx: Context) -> None:
+    count = _number(ctx.cfg.get("eigen_count", 8), "eigen_count", int)
+    n_orbits = ctx.action.n_orbits  # the orbit space's size, known before assembly
+    if not 1 <= count < n_orbits:
+        raise ConfigError(f"config 'eigen_count' {count} outside 1..{n_orbits - 1}, the invariant modes")
+    seed = _rng_seed(ctx.cfg)
     ctx.red = orbit_reduction(assemble(ctx.mesh), ctx.action)  # the vertex K and M die here
     _trim_heap()
-    count = _number(ctx.cfg.get("eigen_count", 8), "eigen_count", int)
-    if not 1 <= count < ctx.red.n:
-        raise ConfigError(f"config 'eigen_count' {count} outside 1..{ctx.red.n - 1}, the invariant modes")
-    ctx.spec = invariant_spectrum(ctx.red, count, seed=_rng_seed(ctx.cfg))
+    ctx.spec = invariant_spectrum(ctx.red, count, seed=seed)
     ctx.results["spectrum"] = _spectrum_payload(ctx.spec)
 
 
@@ -493,7 +476,7 @@ def run_stages(ctx: Context, wanted) -> Context:
             raise StageError(name, exc) from exc
         needed.discard(name)
         if ctx.red is not None and not needed & _SOLVER_STAGES:
-            ctx.red.held = None  # no stage left needs the factorization
+            ctx.red.release()  # no stage left needs the factorization
     return ctx
 
 

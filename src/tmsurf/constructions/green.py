@@ -53,7 +53,7 @@ def invariant_shifted_solver(red: OrbitReduction, alpha: float) -> Callable[[np.
     SuperLU's threshold pivoting kept. This is the one sparse factorization of
     the program: the spectrum's shift-invert operator is its solver at
     alpha = -0.5. The factorization lives as long as the returned solver;
-    ``OrbitReduction.shifted_solver`` holds one per alpha.
+    ``OrbitReduction.shifted_solver`` holds one at a time and frees it.
     """
     shifted = red.stiffness - alpha * red.mass
     p = red.order
@@ -61,9 +61,9 @@ def invariant_shifted_solver(red: OrbitReduction, alpha: float) -> Callable[[np.
         a = sp.csr_matrix(red.lumped.reshape(-1, 1))
         shifted = sp.bmat([[shifted, a], [a.T, None]], format="csr")
         p = np.append(p, red.n)
+    shifted = shifted[p][:, p].tocsc()  # the unpermuted operator is freed before splu
     try:
-        lu = spla.splu(shifted[p][:, p].tocsc(), permc_spec="NATURAL",
-                       options={"SymmetricMode": True})
+        lu = spla.splu(shifted, permc_spec="NATURAL", options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise GreenError(f"shifted operator is singular at alpha={alpha}: {exc}") from exc
 

@@ -10,6 +10,7 @@ group's permutation matrices bitwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -182,10 +183,12 @@ class OrbitReduction(FemOperators):
     reduced from, the nested-dissection ``order`` of the orbit graph that
     ``orbit_reduction`` computes once, and at most one factorization of
     K_r - alpha M_r in that order (see ``shifted_solver``), which the
-    spectrum, Green and maximizer layers share.  It keeps no vertex operator:
-    a vertex quantity comes from ``mesh`` (the lumped areas are
-    ``mesh.vertex_areas``) or from an orbit one, since for invariant u = S w,
-    u.K u = w.K_r w and S^T K u = K_r w.
+    spectrum, Green and maximizer layers share.  It owns that factorization's
+    memory: ``shifted_solver`` builds and replaces it and ``release`` drops
+    it, and each gives the freed heap pages back to the system.  It keeps no
+    vertex operator: a vertex quantity comes from ``mesh`` (the lumped areas
+    are ``mesh.vertex_areas``) or from an orbit one, since for invariant
+    u = S w, u.K u = w.K_r w and S^T K u = K_r w.
     """
 
     S: sp.csr_matrix  # (n, n_orbits) orbit indicator
@@ -208,16 +211,57 @@ class OrbitReduction(FemOperators):
         """The solver of (K_r - alpha M_r) w = b, factored once per alpha in ``order``.
 
         The spectrum's shift-invert operator is the solver at alpha = -0.5; the
-        Green and maximizer stages' alpha replaces it.  A new alpha releases the
-        held factorization before building its own; setting ``held`` to None
-        releases it when no caller needs it any more.
+        Green and maximizer stages' alpha replaces it.  The held alpha returns
+        the cached solver.  A new alpha first ``release``s the held
+        factorization, then builds its own and trims the heap, since SuperLU
+        has just freed its workspace and its copy of the operator.
         """
-        if self.held is None or self.held[0] != alpha:
-            self.held = None
-            from .constructions import green  # green imports this module
+        if self.held is not None and self.held[0] == alpha:
+            return self.held[1]
+        self.release()
+        from .constructions import green  # green imports this module
 
-            self.held = (alpha, green.invariant_shifted_solver(self, alpha))
+        self.held = (alpha, green.invariant_shifted_solver(self, alpha))
+        _trim_heap()
         return self.held[1]
+
+    def release(self) -> None:
+        """Drop the held factorization and trim the heap; a no-op when none is held.
+
+        A solver that a caller still holds keeps its factorization alive
+        until the caller lets it go; the stages keep theirs only while they run.
+        """
+        if self.held is not None:
+            self.held = None
+            _trim_heap()
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim`` with its C signature, or None without glibc."""
+    import ctypes  # only a run that reduces or factors pays for the import
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _trim_heap() -> None:
+    """Give the C heap's free pages back to the system; a no-op without glibc.
+
+    glibc returns freed heap memory by itself only from the top of the heap,
+    and live arrays can lie above a freed block: the vertex K and M that the
+    orbit reduction leaves behind, SuperLU's workspace once a factorization
+    is built, or a dropped factorization.  Without the trim those pages stay
+    resident under the next factorization, which takes fresh mapped pages
+    for most of its memory.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def orbit_reduction(ops: FemOperators, action: GroupAction) -> OrbitReduction:

@@ -401,6 +401,17 @@ def test_out_of_domain_value_exits_2(tmp_path, overrides):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+def test_eigen_count_is_checked_before_assembly(tmp_path, monkeypatch, capsys):
+    # a bad eigen_count exits 2 before the run pays for assembly and reduction
+    def no_assembly(mesh):
+        raise RuntimeError("assembled before eigen_count was checked")
+
+    monkeypatch.setattr(cli, "assemble", no_assembly)
+    cfg = _run_config(tmp_path, eigen_count=0)
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config 'eigen_count'" in capsys.readouterr().err
+
+
 def test_stage_failure_exits_3_with_partial_results(tmp_path, capsys):
     # the 24x24 torus leaves no room for the fit annulus: green stage fails
     out = tmp_path / "fail"

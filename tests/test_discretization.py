@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from tmsurf import discretization
+from tmsurf.constructions import green
 from tmsurf.constructions.green import invariant_shifted_solver
 from tmsurf.discretization import (
     DiscretizationError,
@@ -160,6 +162,37 @@ def test_orbit_reduction_frees_the_vertex_operators():
     del ops
     assert stiffness() is None and mass() is None
     assert red.stiffness.shape == red.mass.shape == (action.n_orbits, action.n_orbits)
+
+
+def test_orbit_space_trims_the_heap_when_it_builds_or_drops_a_factorization(monkeypatch):
+    # the held factorization is dropped before its replacement is built, and
+    # the heap is trimmed after every build and every drop, never on a cache hit
+    mesh, action = build_sphere_mesh(4, "antipodal")
+    red = orbit_reduction(assemble(mesh), action)
+    events, held, dropped = [], [], []  # held: a weak reference to the last solver built
+    factor = green.invariant_shifted_solver
+
+    def watched(red, alpha):
+        dropped.extend(ref() is None for ref in held)
+        events.append(("build", alpha))
+        solve = factor(red, alpha)
+        held[:] = [weakref.ref(solve)]
+        return solve
+
+    monkeypatch.setattr(discretization, "_trim_heap", lambda: events.append("trim"))
+    monkeypatch.setattr(green, "invariant_shifted_solver", watched)
+    red.release()  # nothing held: no build, no trim
+    assert events == [] and red.held is None
+    trims = []
+    for call in (lambda: red.shifted_solver(-0.5), lambda: red.shifted_solver(-0.5),
+                 lambda: red.shifted_solver(1.0), red.release):
+        before = len(events)
+        call()
+        trims.append(events[before:].count("trim"))
+    assert trims == [1, 0, 2, 1]
+    assert events == [("build", -0.5), "trim", "trim", ("build", 1.0), "trim", "trim"]
+    assert dropped == [True]  # the alpha = -0.5 solver was dead before the 1.0 build
+    assert red.held is None and held[0]() is None
 
 
 @pytest.mark.parametrize("surface, max_ratio", [("sphere5", 1.0), ("torus128", 0.7)])
