@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .. import discretization
 from .._sums import sorted_sum
 from ..discretization import NormParams, OrbitReduction
 from ..geometry import GroupAction, SurfaceMesh, axis_offset, geodesic_distance, mean_edge_length
@@ -50,9 +51,10 @@ def invariant_shifted_solver(red: OrbitReduction, alpha: float) -> Callable[[np.
     then carries a mean-zero multiplier row, which leaves balanced loads
     (sum b = 0) unchanged. The operator is factored in the nested-dissection
     ``red.order`` that ``orbit_reduction`` computed, the multiplier last, with
-    SuperLU's threshold pivoting kept. This is the one sparse factorization of
-    the program: the spectrum's shift-invert operator is its solver at
-    alpha = -0.5. The factorization lives as long as the returned solver;
+    SuperLU's threshold pivoting kept, and the heap is trimmed right before
+    SuperLU builds. This is the one sparse factorization of the program: the
+    spectrum's shift-invert operator is its solver at alpha = -0.5. The
+    factorization lives as long as the returned solver;
     ``OrbitReduction.shifted_solver`` holds one at a time and frees it.
     """
     shifted = red.stiffness - alpha * red.mass
@@ -62,6 +64,7 @@ def invariant_shifted_solver(red: OrbitReduction, alpha: float) -> Callable[[np.
         shifted = sp.bmat([[shifted, a], [a.T, None]], format="csr")
         p = np.append(p, red.n)
     shifted = shifted[p][:, p].tocsc()  # the unpermuted operator is freed before splu
+    discretization._trim_heap()  # so the freed copies are not resident under SuperLU's build
     try:
         lu = spla.splu(shifted, permc_spec="NATURAL", options={"SymmetricMode": True})
     except RuntimeError as exc:

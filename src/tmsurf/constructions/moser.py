@@ -64,12 +64,14 @@ def min_orbit_separation(mesh: SurfaceMesh, action: GroupAction, center: int,
     center (bitwise for signed-permutation groups, to round-off for an
     imported group), so the center's row holds the minimum.  A caller that
     holds that row, ``geodesic_distance(mesh, center)``, passes it as ``dist``.
+    The center is dropped by index: on a sphere its distance to itself is
+    ``arccos`` of a rounded unit dot product, which can read up to about 3e-8.
     """
     orbit = action.orbit_of(center)
     if len(orbit) == 1:
         return 2.0 * radial_model(mesh).max_rho
-    d = (geodesic_distance(mesh, center) if dist is None else dist)[orbit]
-    return float(np.min(d[d > 0]))
+    d = (geodesic_distance(mesh, center) if dist is None else dist)[orbit[orbit != center]]
+    return float(np.min(d))
 
 
 def cap_radius_limit(mesh: SurfaceMesh, action: GroupAction, center: int,

@@ -38,8 +38,10 @@ __all__ = [
 ]
 
 
-# Parts of the orbit graph at most this large are not dissected further.
-_ND_LEAF = 64
+# Parts of the orbit graph at most this large are not dissected further.  The
+# factors of 16-orbit leaves hold 6-15% fewer nonzeros than those of 64-orbit
+# leaves on the built-in spheres and tori; 8-orbit leaves gain at most 2% more.
+_ND_LEAF = 16
 
 
 class DiscretizationError(ValueError):
@@ -213,8 +215,9 @@ class OrbitReduction(FemOperators):
         The spectrum's shift-invert operator is the solver at alpha = -0.5; the
         Green and maximizer stages' alpha replaces it.  The held alpha returns
         the cached solver.  A new alpha first ``release``s the held
-        factorization, then builds its own and trims the heap, since SuperLU
-        has just freed its workspace and its copy of the operator.
+        factorization, then builds its own (``invariant_shifted_solver`` trims
+        the heap right before SuperLU builds) and trims the heap again, since
+        SuperLU has just freed its workspace and its copy of the operator.
         """
         if self.held is not None and self.held[0] == alpha:
             return self.held[1]
@@ -254,8 +257,9 @@ def _trim_heap() -> None:
 
     glibc returns freed heap memory by itself only from the top of the heap,
     and live arrays can lie above a freed block: the vertex K and M that the
-    orbit reduction leaves behind, SuperLU's workspace once a factorization
-    is built, or a dropped factorization.  Without the trim those pages stay
+    orbit reduction leaves behind, the copies of the operator freed before a
+    factorization is built, SuperLU's workspace once it is built, or a
+    dropped factorization.  Without the trim those pages stay
     resident under the next factorization, which takes fresh mapped pages
     for most of its memory.
     """
@@ -289,22 +293,28 @@ def _nested_dissection(pattern: sp.spmatrix) -> np.ndarray:
     farthest from the part's lowest-numbered vertex (George, SIAM J. Numer.
     Anal. 1973); the two sides are ordered first, recursively, and the
     separator after both.  Every part of one recursion depth is split at
-    once: column r of ``keys`` is (component label, side) at depth r, and
+    once: column r of ``keys`` is (component label, side) at depth r, or a
+    unique negative key once a vertex lies in a separator or a leaf, so
     sorting the vertices by their columns puts each separator after the two
-    sides it splits.  It uses only hop counts and component labels, so the
-    order is deterministic and does not depend on the BLAS thread count.
+    sides it splits, and an edge stays in the next depth's graph only while
+    its two ends share a key.  It uses only hop counts and component labels,
+    so the order is deterministic and does not depend on the BLAS thread count.
     """
-    g = sp.coo_matrix(pattern)
-    n = g.shape[0]
-    off_diagonal = g.row != g.col
-    rows, cols = g.row[off_diagonal], g.col[off_diagonal]
+    pattern = sp.csr_matrix(pattern)
+    n = pattern.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    cols = pattern.indices
+    off_diagonal = rows != cols
+    rows, cols = rows[off_diagonal], cols[off_diagonal]  # sorted by row
+    finished = np.arange(n) - n  # the key of a vertex in a separator or a leaf: unique, below 0
     active = np.ones(n, dtype=bool)  # not yet in a separator or a leaf
     key = np.zeros(n, dtype=np.int64)
     keys = []
     while active.any():
-        keep = active[rows] & active[cols] & (key[rows] == key[cols])  # edges inside one part
+        keep = key[rows] == key[cols]  # edges inside one part
         rows, cols = rows[keep], cols[keep]
-        graph = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        graph = sp.csr_matrix((np.ones(len(rows)), cols, indptr), shape=(n, n))
         comp = csgraph.connected_components(graph, directed=False)[1]
         split = active & (np.bincount(comp)[comp] > _ND_LEAF)
         side = np.zeros(n, dtype=np.int64)  # 0 first half, 1 second half, 2 separator
@@ -314,13 +324,13 @@ def _nested_dissection(pattern: sp.spmatrix) -> np.ndarray:
             roots = idx[np.unique(part, return_index=True)[1]]
             for _ in range(2):  # from each part's first vertex to its farthest, then that one's levels
                 level = csgraph.dijkstra(graph, indices=roots, unweighted=True, min_only=True)[idx]
-                far = np.lexsort((-level, part))
-                far = far[np.r_[True, np.diff(part[far]) != 0]]  # lowest index on ties
-                roots = idx[far]
-            mid = np.zeros(n)
-            mid[part[far]] = level[far] // 2
-            side[idx] = np.where(level < mid[part], 0, np.where(level > mid[part], 1, 2))
-        key = np.where(active, 3 * comp + side, 0)
+                ecc = np.zeros(n)  # each part's largest level
+                np.maximum.at(ecc, part, level)
+                far = level == ecc[part]
+                roots = idx[far][np.unique(part[far], return_index=True)[1]]  # lowest index on ties
+            mid = (ecc // 2)[part]
+            side[idx] = np.where(level < mid, 0, np.where(level > mid, 1, 2))
+        key = np.where(active, 3 * comp + side, finished)
         keys.append(key)
         active = split & (side != 2)
     return np.lexsort(keys[::-1])

@@ -412,6 +412,14 @@ def test_eigen_count_is_checked_before_assembly(tmp_path, monkeypatch, capsys):
     assert "config 'eigen_count'" in capsys.readouterr().err
 
 
+def test_bounds_on_a_center_with_a_rounded_self_distance(tmp_path):
+    # vertex 163 lies on a minimal orbit and its arccos self-distance reads
+    # 1.49e-8; the orbit separation must not take that for its antipode
+    cfg = _run_config(tmp_path, alpha=1.0, green={"source": 163}, pipeline=["bounds"],
+                      bounds={"epsilons": [1e-3]})
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_stage_failure_exits_3_with_partial_results(tmp_path, capsys):
     # the 24x24 torus leaves no room for the fit annulus: green stage fails
     out = tmp_path / "fail"

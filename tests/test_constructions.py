@@ -180,6 +180,12 @@ def test_moser_orbit_separation(sphere3, sphere3_trivial):
     # singleton orbits fall back to the surface scale
     sep = min_orbit_separation(sphere3_trivial.mesh, sphere3_trivial.action, 0)
     assert sep == pytest.approx(2.0 * np.pi)
+    # the center is dropped by index, not by a zero distance: 144 of the 642
+    # vertices read a self-distance arccos(x.x) of up to 2.1e-8.  The antipode's
+    # arccos(-x.x) carries the same rounding, so the separation is pi to 3e-8.
+    mesh, action = sphere3.mesh, sphere3.action
+    seps = np.array([min_orbit_separation(mesh, action, v) for v in range(mesh.n_vertices)])
+    assert np.all(np.abs(seps - np.pi) < 3e-8)
 
 
 def test_moser_overlapping_caps_rejected(sphere3):

@@ -63,10 +63,10 @@ GOLDEN = {
     "sphere/config.json": "ff010ca0d1138faa20280c55a1eda09687cbd9e48b2d839fca8d3418ac1d16a3",
     "sphere/group.json": "11a75cd70d5274943aa017381d5ed2be79a1d41d7c2743dcc51551ee201e4853",
     "sphere/manifest.json": "2b13acf21a1a900252b1e3029b434f79c7ae5a87996207b66c37f2678cad160a",
-    "sphere/margins.csv": "f74d3e3c56d70ad71a8e81a8f71102e475e0cea55e56c4b23de9b54c72a803e2",
+    "sphere/margins.csv": "e4e2459af592cb67506cd0a54cf068a30c018fd7f56b56cee0575dac23128fe2",
     "sphere/mesh.off": "9e6d5eca2889ffb8e4dedc4ac65c57d749e90cafcd197729bb5f4c38e2754b9a",
-    "sphere/results.json": "54a8b61729b7856d4f39d0176b42c48dc4efa68e7aeb6cebbc949ff24f4ec15a",
-    "sphere/state.json": "dc2e959ff28540e71ccd32a8160d234c5878e6e1eb3e604e8e81e77f47190d78",
+    "sphere/results.json": "27c544f8b0bb3a38e126b2ec4f7407c9a45296cbbda0a10b84ff344d7c728eee",
+    "sphere/state.json": "9ddf16018095385bc9ce271dd205c5a26c148052b538a712cd974df1756c5aed",
     "export/config.json": "4a308a0832c656beb2eff9f694dcf58dbef941aefa0be1994aa7b6375d4c0766",
     "export/group.json": "d0fd0e3fe2b5bfb5e051741144b854b4ed34855f02ac02496916b2dae83eee63",
     "export/manifest.json": "6f6890302f187e6b74b9eb995c3c87226092f48e9d16f770c6de4937c5b218dd",
@@ -74,7 +74,7 @@ GOLDEN = {
     "export/results.json": "fd0649e6aeaf0d28665022fbf834d1cc1fe2d7a7069455481606f80f7b5b3346",
     "import/config.json": "db5641b2f60fcbd4c784a2c0e4fc2a88591e9cb53c0b5f351f46d8aaa422ebc7",
     "import/manifest.json": "6b96c77ae717f963b73d4a456cb002a305f6f540329b9379d476ebd100704b26",
-    "import/results.json": "2209e3ae057944c528d5a2315d86007cb5ca1a4a17db0ccc8205119efd80f1ee",
+    "import/results.json": "93e47993be933e0126f252db4e31fd066e49b12d8daa70101afed3c4a8a7e2ae",
 }
 
 
